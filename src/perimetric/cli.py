@@ -4,8 +4,7 @@ Commands: scan, bands, check-family, generate, explain. Snapshots are
 read from a path or standard input (`-`). Exit codes are stable: 0 for
 success or a clean check, 1 when check-family finds violations, 2 for
 input errors, 3 for internal invariant breaches. All output is a
-deterministic function of (input bytes, flags, seed), including with
---jobs above 1.
+deterministic function of (input bytes, flags, seed).
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
@@ -61,22 +59,20 @@ def _load(handle) -> TenantSnapshot:
         _fail(str(exc), 2)
 
 
-def _scan_records(snapshot: TenantSnapshot, jobs: int) -> list[ScanOutputRecord]:
+def _assess_snapshot(snapshot: TenantSnapshot) -> list[PrincipalRisk]:
+    """Assess every SPN over the native hierarchy, in snapshot order."""
     tree = snapshot.native_tree()
-    bands = enumerate_bands()
-
-    def worker(spn: str) -> PrincipalRisk:
+    risks = []
+    for spn in snapshot.spns:
         grants = resolve_effective_grants(spn, snapshot)
-        return assess_principal(spn, grants, effective_distance(grants, tree))
+        risks.append(assess_principal(spn, grants, effective_distance(grants, tree)))
+    return risks
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            risks = list(pool.map(worker, snapshot.spns))
-    else:
-        risks = [worker(spn) for spn in snapshot.spns]
 
+def _scan_records(snapshot: TenantSnapshot) -> list[ScanOutputRecord]:
+    bands = enumerate_bands()
     records = []
-    for risk in rank_spns(risks):
+    for risk in rank_spns(_assess_snapshot(snapshot)):
         band = band_of(risk.blast_radius, bands)
         records.append(ScanOutputRecord(risk=risk, band_label=band.label if band else None))
     return records
@@ -139,7 +135,8 @@ def main() -> None:
 @main.command()
 @click.argument("snapshot", type=click.File("rb"))
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker threads for per-SPN computation.")
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Accepted for compatibility and ignored; scan runs in one thread.")
 def scan(snapshot, fmt: str, jobs: int) -> None:
     """Rank every SPN by blast radius, breaking ties with the perimeter.
 
@@ -148,7 +145,7 @@ def scan(snapshot, fmt: str, jobs: int) -> None:
     """
     parsed = _load(snapshot)
     try:
-        records = _scan_records(parsed, max(1, jobs))
+        records = _scan_records(parsed)
     except errors.PerimetricError as exc:
         _fail(str(exc), 3)
     click.echo(_render_scan_csv(records) if fmt == "csv" else _render_scan_json(records), nl=False)
@@ -162,12 +159,8 @@ def scan(snapshot, fmt: str, jobs: int) -> None:
 def bands(snapshot, fmt: str, anonymize: bool, seed: int) -> None:
     """Per-band SPN counts and average spread ratios."""
     parsed = _load(snapshot)
-    tree = parsed.native_tree()
     try:
-        risks = []
-        for spn in parsed.spns:
-            grants = resolve_effective_grants(spn, parsed)
-            risks.append(assess_principal(spn, grants, effective_distance(grants, tree)))
+        risks = _assess_snapshot(parsed)
         rows = band_report(risks, anonymize=anonymize, seed=seed)
     except errors.PerimetricError as exc:
         _fail(str(exc), 3)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from perimetric.errors import (
@@ -72,7 +73,16 @@ class TenantSnapshot:
     assignments: tuple[Assignment, ...]
 
     def native_tree(self) -> TenantTree:
+        """The native tree, built once per snapshot."""
+        return self._native_tree
+
+    @cached_property
+    def _native_tree(self) -> TenantTree:
         return build_tree(self.hierarchy)
+
+    @cached_property
+    def _effective_grants(self) -> dict[str, frozenset[Grant]]:
+        return _grant_index(self)
 
     def family(self) -> HierarchyFamily:
         """Native tree plus every alternate, each fully validated."""
@@ -99,6 +109,12 @@ def _string_field(entry: dict, key: str, where: str) -> str:
     return value
 
 
+def _list_field(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    _expect(isinstance(value, list), f"{key!r} must be a list")
+    return value
+
+
 def parse_snapshot(data: str | bytes) -> TenantSnapshot:
     """Parse and validate a snapshot document.
 
@@ -108,7 +124,10 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
     hierarchy errors for invalid trees.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotSyntaxError(f"input is not valid UTF-8 (byte offset {exc.start})") from None
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -145,7 +164,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
 
     spns = []
     seen_principals: set[str] = set()
-    for spn in doc.get("spns", []):
+    for spn in _list_field(doc, "spns"):
         _expect(isinstance(spn, str) and spn != "", "'spns' entries must be non-empty strings")
         if spn in seen_principals:
             raise DuplicateId(f"spn {spn!r} declared twice")
@@ -154,7 +173,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
 
     groups = []
     group_ids: set[str] = set()
-    for entry in doc.get("groups", []):
+    for entry in _list_field(doc, "groups"):
         _expect(isinstance(entry, dict), "group entries must be objects")
         group_id = _string_field(entry, "id", "groups")
         if group_id in seen_principals:
@@ -177,7 +196,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
     _check_groups_acyclic(groups)
 
     assignments = []
-    for entry in doc.get("assignments", []):
+    for entry in _list_field(doc, "assignments"):
         _expect(isinstance(entry, dict), "assignment entries must be objects")
         principal = _string_field(entry, "principal", "assignments")
         action = _string_field(entry, "action", f"assignment for {principal!r}")
@@ -197,7 +216,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
 
     alternates = []
     alternate_names: set[str] = set()
-    for entry in doc.get("alternates", []):
+    for entry in _list_field(doc, "alternates"):
         _expect(isinstance(entry, dict), "alternate entries must be objects")
         name = _string_field(entry, "name", "alternates")
         if name in alternate_names:
@@ -261,52 +280,79 @@ def serialize_snapshot(snapshot: TenantSnapshot) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _check_groups_acyclic(groups: Iterable[Group]) -> None:
-    members_of = {g.id: [m for m in g.members] for g in groups}
+def _check_groups_acyclic(groups: Iterable[Group]) -> list[str]:
+    """Raise GroupCycle on a membership cycle; otherwise return the group ids
+    ordered so that every group comes before the groups it contains.
+
+    Iterative depth-first search over members, so chains of any depth are fine.
+    """
+    members_of = {g.id: g.members for g in groups}
     state: dict[str, int] = {}  # 1 in progress, 2 done
+    finished: list[str] = []
+    for root in sorted(members_of):
+        if root in state:
+            continue
+        state[root] = 1
+        trail = [root]
+        pending = [iter(members_of[root])]
+        while pending:
+            for member in pending[-1]:
+                if member not in members_of:
+                    continue
+                mark = state.get(member)
+                if mark == 1:
+                    cycle = trail[trail.index(member):] + [member]
+                    raise GroupCycle("group membership cycle: " + " -> ".join(cycle))
+                if mark is None:
+                    state[member] = 1
+                    trail.append(member)
+                    pending.append(iter(members_of[member]))
+                    break
+            else:
+                pending.pop()
+                gid = trail.pop()
+                state[gid] = 2
+                finished.append(gid)
+    finished.reverse()
+    return finished
 
-    def visit(gid: str, trail: list[str]) -> None:
-        mark = state.get(gid)
-        if mark == 2:
-            return
-        if mark == 1:
-            cycle = trail[trail.index(gid):] + [gid]
-            raise GroupCycle("group membership cycle: " + " -> ".join(cycle))
-        state[gid] = 1
-        trail.append(gid)
-        for member in members_of.get(gid, ()):
-            if member in members_of:
-                visit(member, trail)
-        trail.pop()
-        state[gid] = 2
 
-    for gid in sorted(members_of):
-        visit(gid, [])
+def _grant_index(snapshot: TenantSnapshot) -> dict[str, frozenset[Grant]]:
+    """Effective grants of every SPN, in one pass over assignments and groups.
+
+    Each group's closure (its own grants plus those of every group
+    containing it) is computed once, containers first, and shared by all
+    its members; a closure that adds nothing is the container's own set.
+    """
+    direct: dict[str, set[Grant]] = {}
+    for a in snapshot.assignments:
+        direct.setdefault(a.principal, set()).add(Grant(action=a.action, access=a.access, scope=a.scope))
+    containers: dict[str, list[str]] = {}
+    for group in snapshot.groups:
+        for member in group.members:
+            containers.setdefault(member, []).append(group.id)
+    closure: dict[str, frozenset[Grant]] = {}
+
+    def effective(principal: str) -> frozenset[Grant]:
+        own = direct.get(principal)
+        inherited = [closure[gid] for gid in containers.get(principal, ())]
+        if own is None and len(inherited) == 1:
+            return inherited[0]
+        return frozenset(own or ()).union(*inherited)
+
+    for gid in _check_groups_acyclic(snapshot.groups):
+        closure[gid] = effective(gid)
+    return {spn: effective(spn) for spn in snapshot.spns}
 
 
 def resolve_effective_grants(spn: str, snapshot: TenantSnapshot) -> frozenset[Grant]:
     """Union of direct grants and grants of every group containing the SPN,
-    through arbitrarily nested membership, deduplicated on (action, access, scope)."""
-    if spn not in snapshot.spns:
-        raise UnknownPrincipal(f"spn {spn!r} is not declared in the snapshot")
-    _check_groups_acyclic(snapshot.groups)
+    through arbitrarily nested membership, deduplicated on (action, access, scope).
 
-    containers: dict[str, set[str]] = {}
-    for group in snapshot.groups:
-        for member in group.members:
-            containers.setdefault(member, set()).add(group.id)
-
-    principals = {spn}
-    frontier = [spn]
-    while frontier:
-        current = frontier.pop()
-        for holder in containers.get(current, ()):
-            if holder not in principals:
-                principals.add(holder)
-                frontier.append(holder)
-
-    return frozenset(
-        Grant(action=a.action, access=a.access, scope=a.scope)
-        for a in snapshot.assignments
-        if a.principal in principals
-    )
+    The whole snapshot is resolved on the first call and memoized on it,
+    so each further call is a dictionary lookup.
+    """
+    try:
+        return snapshot._effective_grants[spn]
+    except KeyError:
+        raise UnknownPrincipal(f"spn {spn!r} is not declared in the snapshot") from None

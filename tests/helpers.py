@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+from perimetric.errors import UnknownPrincipal
 from perimetric.hierarchy import (
     MAX_MG_DEPTH,
     HierarchyNode,
@@ -11,6 +12,7 @@ from perimetric.hierarchy import (
     TenantTree,
     build_tree,
 )
+from perimetric.ingestion import TenantSnapshot
 from perimetric.metric import AccessClass, DistanceModel, Grant
 
 # One node per canonical level 0..10: root, mg1..mg6, sub, rg, res, part.
@@ -100,3 +102,26 @@ def random_instance(
     tree = random_tree(rng, max_nodes=max_nodes)
     grants = random_grants(rng, tree, rng.randint(n_lo, n_hi))
     return grants, DistanceModel(tree)
+
+
+def scan_effective_grants(spn: str, snapshot: TenantSnapshot) -> frozenset[Grant]:
+    """Oracle for resolve_effective_grants: expand the SPN's containing groups,
+    then scan every assignment (O(assignments) per SPN)."""
+    if spn not in snapshot.spns:
+        raise UnknownPrincipal(f"spn {spn!r} is not declared in the snapshot")
+    containers: dict[str, set[str]] = {}
+    for group in snapshot.groups:
+        for member in group.members:
+            containers.setdefault(member, set()).add(group.id)
+    principals = {spn}
+    frontier = [spn]
+    while frontier:
+        for holder in containers.get(frontier.pop(), ()):
+            if holder not in principals:
+                principals.add(holder)
+                frontier.append(holder)
+    return frozenset(
+        Grant(action=a.action, access=a.access, scope=a.scope)
+        for a in snapshot.assignments
+        if a.principal in principals
+    )

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
+import perimetric
 from perimetric.cli import main
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants, serialize_snapshot
@@ -121,6 +126,29 @@ def test_scan_rejects_malformed_input():
     result = _invoke(["scan", "-"], input="{ not json")
     assert result.exit_code == 2
     assert "error:" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": "abc"}',
+        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": NaN}',
+        b'{"version": 1, "hierarchy": [{"id": "r\xff", "kind": "tenant_root"}]}',
+    ],
+    ids=["spns-string", "spns-nan", "non-utf8"],
+)
+def test_scan_mistyped_input_exits_2_without_traceback(payload):
+    src = str(Path(perimetric.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-m", "perimetric.cli", "scan", "-"],
+        input=payload, capture_output=True, env=env, timeout=60,
+    )
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert result.stderr.decode().startswith("error: ")
+    assert len(result.stderr.decode().splitlines()) == 1
 
 
 def test_scan_jobs_flag_is_deterministic():

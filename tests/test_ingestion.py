@@ -87,6 +87,13 @@ def test_parse_group_spn_collision():
         parse_snapshot(_doc(groups=[{"id": "svc-1", "members": []}]))
 
 
+@pytest.mark.parametrize("field", ["spns", "groups", "assignments", "alternates"])
+@pytest.mark.parametrize("value", ["abc", 3, None, {}])
+def test_parse_top_level_lists_are_type_checked(field, value):
+    with pytest.raises(SnapshotSyntaxError, match=f"'{field}' must be a list"):
+        parse_snapshot(_doc(**{field: value}))
+
+
 def test_parse_group_cycle():
     with pytest.raises(GroupCycle):
         parse_snapshot(_doc(groups=[
