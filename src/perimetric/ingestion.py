@@ -103,6 +103,15 @@ def _expect(condition: bool, message: str) -> None:
         raise SnapshotSyntaxError(message)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook for json.loads that rejects a key repeated in one object."""
+    doc = {}
+    for key, value in pairs:
+        _expect(key not in doc, f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _string_field(entry: dict, key: str, where: str) -> str:
     value = entry.get(key)
     _expect(isinstance(value, str) and value != "", f"{where}: {key!r} must be a non-empty string")
@@ -129,9 +138,11 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         except UnicodeDecodeError as exc:
             raise SnapshotSyntaxError(f"input is not valid UTF-8 (byte offset {exc.start})") from None
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise SnapshotSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except RecursionError:
+        raise SnapshotSyntaxError("document is nested too deeply") from None
 
     _expect(isinstance(doc, dict), "top level must be an object")
     version = doc.get("version")
@@ -250,6 +261,9 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
             )
         ),
     )
+    # the native tree validated above is the snapshot's; cached_property
+    # reads its value from the instance dict, so seed it there
+    vars(snapshot)["_native_tree"] = tree
     snapshot.family()  # alternates must each build into a valid tree
     return snapshot
 

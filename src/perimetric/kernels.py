@@ -1,26 +1,21 @@
-"""Distance-matrix kernels with a compiled fast path.
+"""Distance-matrix kernels: nearest-neighbor tour, exhaustive tour, triple scan.
 
-All tenant distances are exact dyadic rationals with denominator at most
-2**21, so a matrix can be rescaled to plain integers and handed to the
-compiled extension. When the extension is missing, or when a caller
-supplies values that do not scale exactly (arbitrary rationals, say),
-the pure-Python backend runs on the original objects instead. Both
-backends share loop order and tie-breaks, so results are identical.
+These run on a flat row-major matrix and serve the inputs that have no
+closed form (raw and family-infimum distances, literal tables) and the
+test oracles. All tenant distances are exact dyadic rationals with
+denominator at most 2**21, so the tour kernels rescale a matrix to plain
+integers when they can and compare those; values that do not scale
+exactly (arbitrary rationals, say) are used as given. Either way results
+are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Sequence, TypeVar
 
-from perimetric import _kernels_py as _pure
-
-try:
-    from perimetric import _kernels as _compiled  # type: ignore[attr-defined]
-except ImportError:
-    _compiled = None
-
-BACKEND = "compiled" if _compiled is not None else "pure-python"
+BACKEND = "pure-python"
 
 SCALE_BITS = 21
 SCALE = 1 << SCALE_BITS
@@ -55,7 +50,7 @@ def try_scale(values: Sequence[object]) -> list[int] | None:
             scaled = value << SCALE_BITS
         else:
             try:
-                frac = Fraction(value)
+                frac = value if isinstance(value, Fraction) else Fraction(value)
             except (TypeError, ValueError):
                 return None
             num = frac.numerator << SCALE_BITS
@@ -72,27 +67,118 @@ def _exact(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
+def _nn_tour(dist: Sequence, n: int, start: int) -> tuple[list[int], object]:
+    """Greedy nearest-unvisited cycle from `start`; ties go to the lowest index.
+
+    Returns (order, length) where order lists n+1 indices with the start
+    repeated at the end.
+    """
+    if n <= 0:
+        raise ValueError("empty matrix")
+    if not 0 <= start < n:
+        raise ValueError("start out of range")
+    seen = [False] * n
+    seen[start] = True
+    order = [start]
+    total = 0
+    cur = start
+    for _ in range(n - 1):
+        row = cur * n
+        best = -1
+        best_d = None
+        for j in range(n):
+            if not seen[j]:
+                d = dist[row + j]
+                if best < 0 or d < best_d:
+                    best = j
+                    best_d = d
+        seen[best] = True
+        order.append(best)
+        total = total + best_d
+        cur = best
+    total = total + dist[cur * n + start]
+    order.append(start)
+    return order, total
+
+
+def _brute_force(dist: Sequence, n: int) -> object:
+    """Exact minimum cyclic tour length with index 0 fixed first."""
+    if n <= 0:
+        raise ValueError("empty matrix")
+    if n == 1:
+        return dist[0]
+    best = None
+    for perm in permutations(range(1, n)):
+        total = dist[perm[0]]
+        prev = perm[0]
+        for nxt in perm[1:]:
+            total = total + dist[prev * n + nxt]
+            prev = nxt
+        total = total + dist[prev * n]
+        if best is None or total < best:
+            best = total
+    return best
+
+
 def nn_tour_flat(flat: Sequence, n: int, start: int) -> tuple[tuple[int, ...], Fraction]:
     scaled = try_scale(flat)
     if scaled is not None:
-        impl = _compiled if _compiled is not None else _pure
-        order, total = impl.nn_tour_ints(scaled, n, start)
+        order, total = _nn_tour(scaled, n, start)
         return tuple(order), Fraction(total, SCALE)
-    order, total = _pure.nn_tour_ints(flat, n, start)
+    order, total = _nn_tour(flat, n, start)
     return tuple(order), _exact(total)
 
 
 def brute_force_flat(flat: Sequence, n: int) -> Fraction:
     scaled = try_scale(flat)
     if scaled is not None:
-        impl = _compiled if _compiled is not None else _pure
-        return Fraction(impl.brute_force_ints(scaled, n), SCALE)
-    return _exact(_pure.brute_force_ints(flat, n))
+        return Fraction(_brute_force(scaled, n), SCALE)
+    return _exact(_brute_force(flat, n))
 
 
 def violations_flat(flat: Sequence, n: int, cap: int) -> list[tuple[int, int, int]]:
+    """Strong-triangle-inequality violations of a symmetric flat matrix.
+
+    A triple (i, j, k) with i < k is reported when d[i,k] > max(d[i,j], d[j,k]);
+    mirror images are not repeated. Emission order is (i, k, j) ascending,
+    capped at `cap` findings.
+
+    For each threshold t and row i a Python-int bitset marks every j with
+    d[i,j] < t, so the violating j of a pair (i, k) are the set bits of
+    below(d[i,k], i) & below(d[i,k], k); i and k themselves never qualify,
+    since d[i,k] is not below itself. Bitsets are built on first use, so a
+    scan that stops at the cap builds only the rows it reached.
+    """
+    if cap <= 0:
+        return []
     scaled = try_scale(flat)
     if scaled is not None:
-        impl = _compiled if _compiled is not None else _pure
-        return [tuple(t) for t in impl.triple_violations_ints(scaled, n, cap)]
-    return [tuple(t) for t in _pure.triple_violations_ints(flat, n, cap)]
+        flat = scaled
+    below: dict[object, list[int | None]] = {}  # threshold -> bitset per row
+
+    def row_below(t, row: int) -> int:
+        cells = flat[row * n : row * n + n]
+        return int("".join(["1" if d < t else "0" for d in reversed(cells)]), 2)
+
+    found = []
+    for i in range(n):
+        row_i = i * n
+        for k in range(i + 1, n):
+            t = flat[row_i + k]
+            rows = below.get(t)
+            if rows is None:
+                rows = below[t] = [None] * n
+            bits_i = rows[i]
+            if bits_i is None:
+                bits_i = rows[i] = row_below(t, i)
+            bits_k = rows[k]
+            if bits_k is None:
+                bits_k = rows[k] = row_below(t, k)
+            hits = bits_i & bits_k
+            while hits:
+                low = hits & -hits
+                found.append((i, low.bit_length() - 1, k))
+                if len(found) == cap:
+                    return found
+                hits ^= low
+    return found

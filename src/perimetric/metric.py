@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from perimetric import kernels
 from perimetric.errors import UnknownNode
-from perimetric.hierarchy import TenantTree, lca_level
+from perimetric.hierarchy import MAX_LEVEL, TenantTree, lca_level
 
 
 class AccessClass(Enum):
@@ -222,6 +222,50 @@ class EffectiveDistance:
         weight = self._model.write_weight if (side_a or side_b) else self._model.read_weight
         return Fraction(weight, 1 << (2 * level + 1))
 
+    def merges(self, grants: Iterable[Grant]) -> list[tuple[int, tuple[int, ...]]]:
+        """The closure's dendrogram over `grants`: one (height, block sizes) per merge.
+
+        Heights are integers in units of 2**-21. At a tree node v of level
+        L the blocks are the grants sitting on v plus v's occupied child
+        subtrees; a block is dirty by the test __call__ applies (a write
+        grant on v, a child subtree in the dirty set). Clean blocks merge
+        at read height r/2**(2L+1), then everything at v merges at write
+        height w/2**(2L+1). Merges are listed bottom-up, so the last one is
+        the top merge, whose height is the diameter. Duplicate grants count
+        once; the first unknown scope, in iteration order, raises UnknownNode.
+        """
+        tree = self._tree
+        read, write = self._model.read_weight, self._model.write_weight
+        # node -> (size, dirty) per block, filled bottom-up one depth at a time
+        blocks: dict[str, list[tuple[int, bool]]] = {}
+        by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]  # depth <= level
+        for grant in dict.fromkeys(grants):
+            if grant.scope not in tree.nodes:
+                raise UnknownNode(f"node {grant.scope!r} not in tree")
+            if grant.scope not in blocks:
+                blocks[grant.scope] = []
+                by_depth[tree.depth[grant.scope]].append(grant.scope)
+            blocks[grant.scope].append((1, grant.access is AccessClass.WRITE))
+        merges: list[tuple[int, tuple[int, ...]]] = []
+        for depth in range(len(by_depth) - 1, -1, -1):
+            for node in by_depth[depth]:
+                here = blocks.pop(node)
+                shift = kernels.SCALE_BITS - (2 * tree.canonical_level[node] + 1)
+                clean = tuple(size for size, raised in here if not raised)
+                dirty = tuple(size for size, raised in here if raised)
+                if len(clean) > 1:
+                    merges.append((read << shift, clean))
+                joined = (sum(clean),) + dirty if clean else dirty
+                if dirty and len(joined) > 1:
+                    merges.append((write << shift, joined))
+                parent = tree.nodes[node].parent
+                if parent is not None:
+                    if parent not in blocks:
+                        blocks[parent] = []
+                        by_depth[depth - 1].append(parent)
+                    blocks[parent].append((sum(joined), node in self._dirty))
+        return merges
+
 
 def effective_distance(
     grants: Iterable[Grant],
@@ -244,8 +288,8 @@ def check_ultrametricity(
 
     Returns canonical (i, j, k) index triples with i < k where
     d(i, k) > max(d(i, j), d(j, k)), capped at `limit` findings. An empty
-    result means the distance is ultrametric on this point set. The scan
-    is cubic; keep point counts at or below 2000.
+    result means the distance is ultrametric on this point set. The
+    matrix is quadratic in the point count; keep it at or below 2000.
     """
     n = len(points)
     if n < 3:

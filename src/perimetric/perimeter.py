@@ -1,21 +1,25 @@
 """Per-principal geometry: blast radius, tour perimeter, mean, spread ratio.
 
 The data perimeter of a grant set is the minimal cyclic tour length over
-all grants. On ultrametric distances the greedy nearest-neighbor tour
-already attains the minimum, which the exhaustive oracle here exists to
-double-check. All lengths are exact rationals.
+all grants. Over the closure (EffectiveDistance) every figure follows
+from the dendrogram in closed form, with no distance matrix: a minimal
+tour crosses the top merge once per block and every other merge one time
+fewer than it has blocks. Any other distance callable goes through the
+pairwise matrix and the greedy nearest-neighbor tour, which attains the
+minimum on ultrametric distances; that path, and the exhaustive oracle,
+are what the tests check the closed form against. All lengths are exact
+rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from perimetric import kernels
 from perimetric.errors import EmptyInput, TooLarge, UndefinedMean
-from perimetric.metric import Grant, grant_sort_key
+from perimetric.metric import EffectiveDistance, Grant, grant_sort_key
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -61,13 +65,7 @@ def blast_radius(grants: Iterable[Grant], dist: DistFn) -> Fraction:
 
     Empty and singleton sets have radius 0.
     """
-    items = sorted_grants(grants)
-    best = Fraction(0)
-    for a, b in combinations(items, 2):
-        d = dist(a, b)
-        if d > best:
-            best = Fraction(d)
-    return best
+    return assess_principal("", grants, dist).blast_radius
 
 
 def nn_tour(grants: Sequence[Grant], dist: DistFn, start: int = 0) -> Tour:
@@ -102,22 +100,15 @@ def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
 
 def perimeter(grants: Iterable[Grant], dist: DistFn) -> Fraction:
     """Minimal cyclic tour length over the grant set; 0 for n <= 1."""
-    items = sorted_grants(grants)
-    if len(items) <= 1:
-        return Fraction(0)
-    return nn_tour(items, dist, start=0).length
+    return assess_principal("", grants, dist).perimeter
 
 
 def mean_distance(grants: Iterable[Grant], dist: DistFn) -> Fraction:
     """Average over unordered distinct pairs. Undefined below two grants."""
-    items = sorted_grants(grants)
-    n = len(items)
-    if n < 2:
-        raise UndefinedMean(f"mean distance needs two grants, got {n}")
-    total = Fraction(0)
-    for a, b in combinations(items, 2):
-        total += Fraction(dist(a, b))
-    return total / (n * (n - 1) // 2)
+    risk = assess_principal("", grants, dist)
+    if risk.n < 2:
+        raise UndefinedMean(f"mean distance needs two grants, got {risk.n}")
+    return risk.mean_distance
 
 
 def spread_ratio(n: int, perimeter_length: Fraction, mean: Fraction) -> Fraction:
@@ -132,23 +123,15 @@ def spread_ratio(n: int, perimeter_length: Fraction, mean: Fraction) -> Fraction
 
 def is_ultracycle(grants: Iterable[Grant], dist: DistFn) -> Fraction | None:
     """Common pairwise distance if all pairs are equal and positive, else None."""
-    items = sorted_grants(grants)
-    if len(items) < 2:
-        return None
-    common = None
-    for a, b in combinations(items, 2):
-        d = Fraction(dist(a, b))
-        if common is None:
-            common = d
-        elif d != common:
-            return None
-    if common is None or common <= 0:
-        return None
-    return common
+    return assess_principal("", grants, dist).ultracycle
 
 
 def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> PrincipalRisk:
-    """Full risk record for one principal, computing the matrix only once."""
+    """Full risk record for one principal.
+
+    An EffectiveDistance is read through its dendrogram in closed form;
+    any other distance callable is evaluated once per pair into a matrix.
+    """
     items = sorted_grants(grants)
     n = len(items)
     if n <= 1:
@@ -162,13 +145,10 @@ def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> Princip
             ultracycle=None,
         )
 
-    flat = kernels.build_matrix(items, dist)
-    values = [Fraction(flat[i * n + j]) for i in range(n) for j in range(i + 1, n)]
-    radius = max(values)
-    mean = sum(values, Fraction(0)) / len(values)
-    _, length = kernels.nn_tour_flat(flat, n, 0)
-    first = values[0]
-    xi = first if first > 0 and all(v == first for v in values) else None
+    if isinstance(dist, EffectiveDistance):
+        radius, length, mean = _dendrogram_geometry(dist.merges(items), n)
+    else:
+        radius, length, mean = _matrix_geometry(items, dist)
     return PrincipalRisk(
         spn=spn,
         n=n,
@@ -176,5 +156,32 @@ def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> Princip
         perimeter=length,
         mean_distance=mean,
         spread_ratio=spread_ratio(n, length, mean),
-        ultracycle=xi,
+        ultracycle=radius if radius > 0 and mean == radius else None,
     )
+
+
+def _dendrogram_geometry(
+    merges: list[tuple[int, tuple[int, ...]]], n: int
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Radius, minimal tour length and mean distance from merges in 2**-21 units."""
+    *inner, (top, top_blocks) = merges
+    length = top * len(top_blocks) + sum(height * (len(sizes) - 1) for height, sizes in inner)
+    # a merge joins every pair of points that lie in two different blocks
+    pair_sum = sum(
+        height * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for height, sizes in merges
+    )
+    scale = kernels.SCALE
+    return (
+        Fraction(top, scale),
+        Fraction(length, scale),
+        Fraction(pair_sum, scale * (n * (n - 1) // 2)),
+    )
+
+
+def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[Fraction, Fraction, Fraction]:
+    """Radius, nearest-neighbor tour length from index 0 and mean distance."""
+    n = len(items)
+    flat = kernels.build_matrix(items, dist)
+    values = [Fraction(flat[i * n + j]) for i in range(n) for j in range(i + 1, n)]
+    _, length = kernels.nn_tour_flat(flat, n, 0)
+    return max(values), length, sum(values, Fraction(0)) / len(values)

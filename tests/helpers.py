@@ -125,3 +125,22 @@ def scan_effective_grants(spn: str, snapshot: TenantSnapshot) -> frozenset[Grant
         for a in snapshot.assignments
         if a.principal in principals
     )
+
+
+def triple_violations_cubic(flat: list, n: int, cap: int) -> list[tuple[int, int, int]]:
+    """Oracle for kernels.violations_flat: the plain cubic loop over a flat
+    row-major matrix, emitting (i, j, k) in (i, k, j) order up to `cap`."""
+    if cap <= 0:
+        return []
+    found = []
+    for i in range(n):
+        for k in range(i + 1, n):
+            d_ik = flat[i * n + k]
+            for j in range(n):
+                if j == i or j == k:
+                    continue
+                if d_ik > flat[i * n + j] and d_ik > flat[j * n + k]:
+                    found.append((i, j, k))
+                    if len(found) == cap:
+                        return found
+    return found

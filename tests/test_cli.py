@@ -134,8 +134,10 @@ def test_scan_rejects_malformed_input():
         b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": "abc"}',
         b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": NaN}',
         b'{"version": 1, "hierarchy": [{"id": "r\xff", "kind": "tenant_root"}]}',
+        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["a"], "spns": ["b"]}',
+        b'{"version": 1, "hierarchy": ' + b"[" * 100_000,
     ],
-    ids=["spns-string", "spns-nan", "non-utf8"],
+    ids=["spns-string", "spns-nan", "non-utf8", "duplicate-key", "deep-nesting"],
 )
 def test_scan_mistyped_input_exits_2_without_traceback(payload):
     src = str(Path(perimetric.__file__).resolve().parent.parent)

@@ -1,0 +1,135 @@
+"""The dendrogram closed form and the bitset triple scan against their oracles.
+
+assess_principal reads an EffectiveDistance through its dendrogram; the
+matrix path (any other callable) and the exhaustive tour are the
+references. check_ultrametricity's bitset scan is checked against the
+plain cubic loop.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree
+from perimetric.metric import (
+    DEFAULT_IMPACT,
+    AccessClass,
+    Grant,
+    ImpactModel,
+    check_ultrametricity,
+    effective_distance,
+)
+from perimetric.perimeter import BRUTE_FORCE_LIMIT, assess_principal, brute_force_tour, sorted_grants
+
+from helpers import chain_tree, triple_violations_cubic
+
+READ = AccessClass.READ
+WRITE = AccessClass.WRITE
+
+_CHILD_KINDS = {
+    NodeKind.TENANT_ROOT: (NodeKind.MANAGEMENT_GROUP, NodeKind.SUBSCRIPTION),
+    NodeKind.MANAGEMENT_GROUP: (NodeKind.MANAGEMENT_GROUP, NodeKind.SUBSCRIPTION),
+    NodeKind.SUBSCRIPTION: (NodeKind.RESOURCE_GROUP,),
+    NodeKind.RESOURCE_GROUP: (NodeKind.RESOURCE,),
+    NodeKind.RESOURCE: (NodeKind.RESOURCE_PART,),
+    NodeKind.RESOURCE_PART: (),
+}
+
+
+@st.composite
+def random_trees(draw):
+    nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT)]
+    mg_depth = {"root": 0}
+    for i in range(draw(st.integers(0, 16))):
+        parent = nodes[draw(st.integers(0, len(nodes) - 1))]
+        kinds = [
+            kind
+            for kind in _CHILD_KINDS[parent.kind]
+            if kind is not NodeKind.MANAGEMENT_GROUP or mg_depth[parent.id] < MAX_MG_DEPTH
+        ]
+        if not kinds:
+            continue
+        node = HierarchyNode(f"n{i:02d}", draw(st.sampled_from(kinds)), parent.id)
+        if node.kind is NodeKind.MANAGEMENT_GROUP:
+            mg_depth[node.id] = mg_depth[parent.id] + 1
+        nodes.append(node)
+    return build_tree(nodes)
+
+
+@st.composite
+def instances(draw):
+    # the maximal chain has six nested management groups and every kind
+    tree = draw(st.one_of(st.just(chain_tree()[0]), random_trees()))
+    # few actions, so duplicates and same-scope read/write pairs are common
+    grants = draw(
+        st.lists(
+            st.builds(
+                Grant,
+                action=st.sampled_from("abc"),
+                access=st.sampled_from(AccessClass),
+                scope=st.sampled_from(sorted(tree.nodes)),
+            ),
+            max_size=BRUTE_FORCE_LIMIT + 2,
+        )
+    )
+    model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
+    return tree, grants, model
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances())
+def test_closed_form_matches_matrix_path_and_exhaustive_tour(instance):
+    tree, grants, model = instance
+    dist = effective_distance(grants, tree, model)
+    closed = assess_principal("spn", grants, dist)
+    # a plain callable is not an EffectiveDistance, so it takes the matrix path
+    assert closed == assess_principal("spn", grants, lambda a, b: dist(a, b))
+    items = sorted_grants(grants)
+    if 1 <= len(items) <= BRUTE_FORCE_LIMIT:
+        assert closed.perimeter == brute_force_tour(items, dist)
+
+
+def test_merges_show_a_write_raising_a_read_pair():
+    tree = build_tree([
+        HierarchyNode("root", NodeKind.TENANT_ROOT),
+        HierarchyNode("sub", NodeKind.SUBSCRIPTION, "root"),
+        HierarchyNode("rg", NodeKind.RESOURCE_GROUP, "sub"),
+        HierarchyNode("res1", NodeKind.RESOURCE, "rg"),
+        HierarchyNode("res2", NodeKind.RESOURCE, "rg"),
+    ])
+    grants = [Grant("a", READ, "res1"), Grant("a", WRITE, "res1"), Grant("b", READ, "res2")]
+    dist = effective_distance(grants, tree)
+    # res1's read and write meet at the write height of level 9, 2/2**19;
+    # the write dirties res1, so res2's read joins at level 8's write height
+    assert dist.merges(grants) == [(2 << 2, (1, 1)), (2 << 4, (1, 2))]
+    risk = assess_principal("spn", grants, dist)
+    assert risk.blast_radius == Fraction(1, 2**16)
+    assert risk.perimeter == Fraction(2 * 32 + 8, 2**21) == brute_force_tour(sorted_grants(grants), dist)
+    assert risk.mean_distance == Fraction(8 + 32 + 32, 3 * 2**21)
+    assert risk.ultracycle is None
+
+
+_VALUE_POOLS = (
+    [Fraction(1, 2**k) for k in (1, 3, 5, 7)],  # dyadic: scaled to integers
+    [0, 1, 2, 3],
+    [Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), Fraction(1, 7)],  # not dyadic
+)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_bitset_scan_matches_cubic_loop(seed):
+    rng = random.Random(seed)
+    n = rng.randint(0, 30)
+    pool = rng.choice(_VALUE_POOLS)[: rng.randint(1, 4)]
+    flat = [0] * (n * n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            flat[i * n + j] = flat[j * n + i] = rng.choice(pool)
+    points = list(range(n))
+    dist = lambda i, j: flat[i * n + j]  # noqa: E731
+    everything = triple_violations_cubic(flat, n, n**3 + 1)
+    for cap in (1, 7, 100, len(everything) + 1):
+        assert check_ultrametricity(points, dist, limit=cap) == triple_violations_cubic(flat, n, cap)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perimetric import ingestion
 from perimetric.cli import main
 from perimetric.errors import GroupCycle, UnknownPrincipal
 from perimetric.ingestion import parse_snapshot, resolve_effective_grants
@@ -94,13 +95,23 @@ def test_diamond_membership_counts_each_grant_once():
     }
 
 
-def test_snapshot_resolves_and_builds_its_tree_once():
+def test_snapshot_resolves_and_builds_its_tree_once(monkeypatch):
+    builds = []
+    real_build = ingestion.build_tree
+
+    def counting_build(nodes):
+        builds.append(nodes)
+        return real_build(nodes)
+
+    monkeypatch.setattr(ingestion, "build_tree", counting_build)
     snapshot = parse_snapshot(_doc(
         groups=[{"id": "team", "members": ["a", "b"]}],
         spns=["a", "b"],
         assignments=[{"principal": "team", "action": "ReadBlob", "access": "read", "scope": "sub-2"}],
     ))
     assert snapshot.native_tree() is snapshot.native_tree()
+    snapshot.family()
+    assert len(builds) == 1
     assert resolve_effective_grants("a", snapshot) is resolve_effective_grants("a", snapshot)
     # members that add nothing share their group's set
     assert resolve_effective_grants("a", snapshot) is resolve_effective_grants("b", snapshot)
