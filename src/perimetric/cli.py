@@ -26,7 +26,7 @@ from perimetric.ingestion import (
     resolve_effective_grants,
     serialize_snapshot,
 )
-from perimetric.metric import DistanceModel, check_ultrametricity, effective_distance
+from perimetric.metric import DistanceModel, check_ultrametricity, effective_distance, raw_violates
 from perimetric.perimeter import PrincipalRisk, assess_principal, nn_tour, sorted_grants
 from perimetric.ranking import (
     band_of,
@@ -182,9 +182,7 @@ def check_family(snapshot, limit: int) -> None:
     parsed = _load(snapshot)
     if not parsed.alternates:
         _fail("snapshot declares no alternate hierarchies; nothing to check", 2)
-    family = parsed.family()
-    dist = DistanceModel(family)
-    native_dist = DistanceModel(family.native)
+    dist = DistanceModel(parsed.family())
     dirty = 0
     checked = 0
     for spn in parsed.spns:
@@ -207,7 +205,7 @@ def check_family(snapshot, limit: int) -> None:
                 f"d3({gi.action}, {gk.action}) = {d_ik / unit} "
                 f"(unit: {fraction_str(unit)})"
             )
-        if check_ultrametricity(grants, native_dist, limit=1):
+        if raw_violates(grants, parsed.native_tree()):
             click.echo(
                 "  note: raw pairwise distances violate under the native tree alone "
                 "(mixed read/write grants); scan already repairs this via the closure"

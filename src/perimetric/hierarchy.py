@@ -165,26 +165,28 @@ def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> Tena
     )
 
 
-def _require(tree: TenantTree, node_id: str) -> None:
-    if node_id not in tree.nodes:
-        raise UnknownNode(f"node {node_id!r} not in tree")
+def meet(tree: TenantTree, a: str, b: str) -> tuple[str, str | None, str | None]:
+    """The LCA of a and b, and the last node below it on each side (None for the LCA itself)."""
+    for node_id in (a, b):
+        if node_id not in tree.nodes:
+            raise UnknownNode(f"node {node_id!r} not in tree")
+    ca = cb = None
+    da, db = tree.depth[a], tree.depth[b]
+    while da > db:
+        ca, a = a, tree.nodes[a].parent  # type: ignore[assignment]
+        da -= 1
+    while db > da:
+        cb, b = b, tree.nodes[b].parent  # type: ignore[assignment]
+        db -= 1
+    while a != b:
+        ca, a = a, tree.nodes[a].parent  # type: ignore[assignment]
+        cb, b = b, tree.nodes[b].parent  # type: ignore[assignment]
+    return a, ca, cb
 
 
 def lca(tree: TenantTree, a: str, b: str) -> str:
     """Deepest node that is an ancestor-or-self of both a and b."""
-    _require(tree, a)
-    _require(tree, b)
-    da, db = tree.depth[a], tree.depth[b]
-    while da > db:
-        a = tree.nodes[a].parent  # type: ignore[assignment]
-        da -= 1
-    while db > da:
-        b = tree.nodes[b].parent  # type: ignore[assignment]
-        db -= 1
-    while a != b:
-        a = tree.nodes[a].parent  # type: ignore[assignment]
-        b = tree.nodes[b].parent  # type: ignore[assignment]
-    return a
+    return meet(tree, a, b)[0]
 
 
 def lca_level(tree: TenantTree, a: str, b: str) -> int:

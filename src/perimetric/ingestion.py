@@ -15,14 +15,16 @@ A snapshot is a JSON document with these top-level keys:
                  access is "read" or "write", principal is an SPN or a
                  group, scope is a hierarchy node
 
-All ids are case-sensitive opaque strings. Parsing validates every
-cross-reference, rejects duplicate ids and group cycles, and normalizes
-ordering, so parse -> serialize -> parse round-trips byte-identically.
+All ids are case-sensitive opaque strings. Parsing validates every cross-reference,
+rejects duplicate ids and keys, group cycles, lone surrogates and oversized numbers,
+and normalizes ordering, so parse -> serialize -> parse round-trips byte-identically.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -74,28 +76,27 @@ class TenantSnapshot:
 
     def native_tree(self) -> TenantTree:
         """The native tree, built once per snapshot."""
-        return self._native_tree
+        return self.family().native
+
+    def family(self) -> HierarchyFamily:
+        """Native tree plus every alternate, each fully validated, built once per snapshot."""
+        return self._family
 
     @cached_property
-    def _native_tree(self) -> TenantTree:
-        return build_tree(self.hierarchy)
+    def _family(self) -> HierarchyFamily:
+        return self._family_over(build_tree(self.hierarchy))
+
+    def _family_over(self, native: TenantTree) -> HierarchyFamily:
+        alternates = []
+        for alt in self.alternates:
+            overrides = dict(alt.parents)
+            nodes = [HierarchyNode(n.id, n.kind, overrides.get(n.id, n.parent)) for n in self.hierarchy]
+            alternates.append((alt.name, build_tree(nodes)))
+        return HierarchyFamily(native=native, alternates=tuple(alternates))
 
     @cached_property
     def _effective_grants(self) -> dict[str, frozenset[Grant]]:
         return _grant_index(self)
-
-    def family(self) -> HierarchyFamily:
-        """Native tree plus every alternate, each fully validated."""
-        native = self.native_tree()
-        alternates = []
-        for alt in self.alternates:
-            overrides = dict(alt.parents)
-            nodes = [
-                HierarchyNode(n.id, n.kind, overrides.get(n.id, n.parent))
-                for n in self.hierarchy
-            ]
-            alternates.append((alt.name, build_tree(nodes)))
-        return HierarchyFamily(native=native, alternates=tuple(alternates))
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -103,12 +104,20 @@ def _expect(condition: bool, message: str) -> None:
         raise SnapshotSyntaxError(message)
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """object_pairs_hook for json.loads that rejects a key repeated in one object."""
-    doc = {}
-    for key, value in pairs:
-        _expect(key not in doc, f"duplicate key {key!r}")
-        doc[key] = value
+def _checked_object(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook for json.loads: no key twice in one object, no lone surrogate in any text."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise SnapshotSyntaxError(f"duplicate key {repeated!r}")
+    for value in (*doc, *doc.values()):
+        if isinstance(value, str):
+            if not value.isascii():
+                _expect(not re.search(r"[\ud800-\udfff]", value), f"lone surrogate in {value!r}")
+        elif isinstance(value, list):
+            for text in value:
+                if isinstance(text, str) and not text.isascii():
+                    _expect(not re.search(r"[\ud800-\udfff]", text), f"lone surrogate in {text!r}")
     return doc
 
 
@@ -138,9 +147,11 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         except UnicodeDecodeError as exc:
             raise SnapshotSyntaxError(f"input is not valid UTF-8 (byte offset {exc.start})") from None
     try:
-        doc = json.loads(data, object_pairs_hook=_unique_keys)
+        doc = json.loads(data, object_pairs_hook=_checked_object)
     except json.JSONDecodeError as exc:
         raise SnapshotSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except ValueError:  # an integer literal past the int-to-str digit limit
+        raise SnapshotSyntaxError("number has too many digits") from None
     except RecursionError:
         raise SnapshotSyntaxError("document is nested too deeply") from None
 
@@ -171,7 +182,6 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         )
         nodes.append(HierarchyNode(id=node_id, kind=kind, parent=parent))
     tree = build_tree(nodes)  # validates duplicates, kinds, cycles, MG depth
-    node_ids = set(tree.nodes)
 
     spns = []
     seen_principals: set[str] = set()
@@ -221,7 +231,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         scope = _string_field(entry, "scope", f"assignment for {principal!r}")
         if principal not in seen_principals:
             raise UnknownReference(f"assignment principal {principal!r} is not declared")
-        if scope not in node_ids:
+        if scope not in tree.nodes:
             raise UnknownReference(f"assignment scope {scope!r} is not in the hierarchy")
         assignments.append(Assignment(principal=principal, action=action, access=access, scope=scope))
 
@@ -240,9 +250,9 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
                 isinstance(parent, str) and parent != "",
                 f"alternate {name!r}: parent of {child!r} must be a node id",
             )
-            if child not in node_ids:
+            if child not in tree.nodes:
                 raise UnknownReference(f"alternate {name!r} re-parents unknown node {child!r}")
-            if parent not in node_ids:
+            if parent not in tree.nodes:
                 raise UnknownReference(f"alternate {name!r} names unknown parent {parent!r}")
         alternates.append(
             AlternateHierarchy(name=name, parents=tuple(sorted(parents.items())))
@@ -261,10 +271,8 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
             )
         ),
     )
-    # the native tree validated above is the snapshot's; cached_property
-    # reads its value from the instance dict, so seed it there
-    vars(snapshot)["_native_tree"] = tree
-    snapshot.family()  # alternates must each build into a valid tree
+    # cached_property reads the instance dict: seed it with the validated trees
+    vars(snapshot)["_family"] = snapshot._family_over(tree)
     return snapshot
 
 

@@ -11,9 +11,9 @@ The raw pair formula is what blast radii, band values and hierarchy
 infima are defined on. For tour geometry over one grant set, use
 EffectiveDistance: the raw formula's ultrametric closure, which repairs
 the strong triangle inequality on sets that mix read and write grants
-while preserving the diameter exactly. The pointwise infimum over a
-family of alternate hierarchies is generally not ultrametric at all,
-which is what check_ultrametricity is for.
+while preserving the diameter exactly (raw_violates tells from it whether
+a set needed the repair). The pointwise infimum over a family of alternate
+hierarchies is generally not ultrametric, which check_ultrametricity finds.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from perimetric import kernels
 from perimetric.errors import UnknownNode
-from perimetric.hierarchy import MAX_LEVEL, TenantTree, lca_level
+from perimetric.hierarchy import MAX_LEVEL, TenantTree, lca_level, meet
 
 
 class AccessClass(Enum):
@@ -126,20 +126,19 @@ def infimum_distance(
     family: HierarchyFamily,
     model: ImpactModel = DEFAULT_IMPACT,
 ) -> Fraction:
-    """Pointwise minimum of the distance across all hierarchies in the family.
+    """Pointwise minimum of the distance across the family, hence at the deepest LCA level.
 
     Tighter than any single member, but no longer ultrametric in general.
     """
-    best: Fraction | None = None
+    if a == b:
+        return Fraction(0)
+    level = 0
     for name, tree in family.members():
         try:
-            d = distance(a, b, tree, model)
+            level = max(level, lca_level(tree, a.scope, b.scope))
         except UnknownNode as exc:
             raise UnknownNode(f"{exc} (hierarchy {name!r})") from None
-        if best is None or d < best:
-            best = d
-    assert best is not None
-    return best
+    return Fraction(pair_impact(a, b, model), 1 << (2 * level + 1))
 
 
 @dataclass(frozen=True)
@@ -198,29 +197,11 @@ class EffectiveDistance:
     def __call__(self, a: Grant, b: Grant) -> Fraction:
         if a == b:
             return Fraction(0)
-        tree = self._tree
-        for scope in (a.scope, b.scope):
-            if scope not in tree.nodes:
-                raise UnknownNode(f"node {scope!r} not in tree")
-        # walk to the LCA keeping the last node on each side of the meet
-        na, nb = a.scope, b.scope
-        ca: str | None = None
-        cb: str | None = None
-        da, db = tree.depth[na], tree.depth[nb]
-        while da > db:
-            ca, na = na, tree.nodes[na].parent  # type: ignore[assignment]
-            da -= 1
-        while db > da:
-            cb, nb = nb, tree.nodes[nb].parent  # type: ignore[assignment]
-            db -= 1
-        while na != nb:
-            ca, na = na, tree.nodes[na].parent  # type: ignore[assignment]
-            cb, nb = nb, tree.nodes[nb].parent  # type: ignore[assignment]
-        level = tree.canonical_level[na]
+        top, ca, cb = meet(self._tree, a.scope, b.scope)
         side_a = ca in self._dirty if ca is not None else a.access is AccessClass.WRITE
         side_b = cb in self._dirty if cb is not None else b.access is AccessClass.WRITE
         weight = self._model.write_weight if (side_a or side_b) else self._model.read_weight
-        return Fraction(weight, 1 << (2 * level + 1))
+        return Fraction(weight, 1 << (2 * self._tree.canonical_level[top] + 1))
 
     def merges(self, grants: Iterable[Grant]) -> list[tuple[int, tuple[int, ...]]]:
         """The closure's dendrogram over `grants`: one (height, block sizes) per merge.
@@ -274,6 +255,18 @@ def effective_distance(
 ) -> EffectiveDistance:
     """The per-set ultrametric the analytics pipeline runs on."""
     return EffectiveDistance(grants, tree, model)
+
+
+def raw_violates(grants: Sequence[Grant], tree: TenantTree, model: ImpactModel = DEFAULT_IMPACT) -> bool:
+    """Whether raw distances under `tree` break the strong triangle inequality on `grants`.
+
+    With read < write < 4 * read and levels rising strictly down every root path, they
+    do exactly where a write w raises the closure's merge of two reads: w and a read j
+    under one child of a node, a read k elsewhere at it, so d(w, k) > max(d(w, j), d(j, k)).
+    """
+    reads = [g for g in grants if g.access is AccessClass.READ]
+    raised = EffectiveDistance(grants, tree, model).merges(reads)
+    return raised != EffectiveDistance(reads, tree, model).merges(reads)
 
 
 P = TypeVar("P")

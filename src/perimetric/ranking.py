@@ -111,7 +111,6 @@ def band_report(
     risks: Iterable[PrincipalRisk],
     anonymize: bool = False,
     seed: int = 0,
-    bands: Sequence[Band] | None = None,
 ) -> list[BandReportRow]:
     """One row per populated band with the average member spread ratio.
 
@@ -120,8 +119,7 @@ def band_report(
     shuffled by the seeded permutation and relabeled I, II, III, ... in
     shuffled order.
     """
-    if bands is None:
-        bands = enumerate_bands()
+    bands = enumerate_bands()
     buckets: dict[Fraction, list[PrincipalRisk]] = {}
     for risk in risks:
         if risk.blast_radius == 0:

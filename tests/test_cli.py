@@ -136,8 +136,11 @@ def test_scan_rejects_malformed_input():
         b'{"version": 1, "hierarchy": [{"id": "r\xff", "kind": "tenant_root"}]}',
         b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["a"], "spns": ["b"]}',
         b'{"version": 1, "hierarchy": ' + b"[" * 100_000,
+        b'{"version": 1' + b"0" * 5000 + b', "hierarchy": [{"id": "root", "kind": "tenant_root"}]}',
+        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc-\\ud800"]}',
     ],
-    ids=["spns-string", "spns-nan", "non-utf8", "duplicate-key", "deep-nesting"],
+    ids=["spns-string", "spns-nan", "non-utf8", "duplicate-key", "deep-nesting", "huge-integer",
+         "lone-surrogate"],
 )
 def test_scan_mistyped_input_exits_2_without_traceback(payload):
     src = str(Path(perimetric.__file__).resolve().parent.parent)
@@ -205,6 +208,18 @@ def test_check_family_counterexample_exits_1_with_exact_values():
     assert "d3(y, z) = 1" in result.output
     assert "d3(x, z) = 2" in result.output
     assert "fall back to the native hierarchy" in result.output
+    # the write y sits with x under rg-1, so the raw native distances break too
+    assert "  note: raw pairwise distances violate under the native tree alone" in result.output
+
+
+def test_check_family_all_read_counterexample_has_no_note():
+    doc = json.loads(COUNTEREXAMPLE.read_text())
+    for assignment in doc["assignments"]:
+        assignment["access"] = "read"
+    result = _invoke(["check-family", "-"], input=json.dumps(doc))
+    assert result.exit_code == 1  # the infimum still breaks: d3(x, z) = 4 against 1 and 1
+    assert "d3(x, z) = 4" in result.output
+    assert "note:" not in result.output
 
 
 def test_check_family_identical_alternate_is_clean():

@@ -1,9 +1,10 @@
-"""The dendrogram closed form and the bitset triple scan against their oracles.
+"""Closed forms and fast scans against the oracles they replace.
 
 assess_principal reads an EffectiveDistance through its dendrogram; the
 matrix path (any other callable) and the exhaustive tour are the
 references. check_ultrametricity's bitset scan is checked against the
-plain cubic loop.
+plain cubic loop, raw_violates against a full triple scan of the raw
+distances, and infimum_distance against the minimum over the family.
 """
 
 import random
@@ -17,10 +18,15 @@ from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tr
 from perimetric.metric import (
     DEFAULT_IMPACT,
     AccessClass,
+    DistanceModel,
     Grant,
+    HierarchyFamily,
     ImpactModel,
     check_ultrametricity,
+    distance,
     effective_distance,
+    infimum_distance,
+    raw_violates,
 )
 from perimetric.perimeter import BRUTE_FORCE_LIMIT, assess_principal, brute_force_tour, sorted_grants
 
@@ -59,24 +65,50 @@ def random_trees(draw):
     return build_tree(nodes)
 
 
+def grant_lists(tree, max_size=BRUTE_FORCE_LIMIT + 2):
+    # few actions, so duplicates and same-scope read/write pairs are common
+    return st.lists(
+        st.builds(
+            Grant,
+            action=st.sampled_from("abc"),
+            access=st.sampled_from(AccessClass),
+            scope=st.sampled_from(sorted(tree.nodes)),
+        ),
+        max_size=max_size,
+    )
+
+
 @st.composite
-def instances(draw):
+def instances(draw, max_size=BRUTE_FORCE_LIMIT + 2):
     # the maximal chain has six nested management groups and every kind
     tree = draw(st.one_of(st.just(chain_tree()[0]), random_trees()))
-    # few actions, so duplicates and same-scope read/write pairs are common
-    grants = draw(
-        st.lists(
-            st.builds(
-                Grant,
-                action=st.sampled_from("abc"),
-                access=st.sampled_from(AccessClass),
-                scope=st.sampled_from(sorted(tree.nodes)),
-            ),
-            max_size=BRUTE_FORCE_LIMIT + 2,
-        )
-    )
+    grants = draw(grant_lists(tree, max_size))
     model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
     return tree, grants, model
+
+
+@st.composite
+def families(draw):
+    """A random tree plus one to three alternates, each moving some subscriptions,
+    resource groups, resources and parts under another node of a legal parent kind."""
+    native = draw(random_trees())
+    of_kind = {kind: [n.id for n in native.nodes.values() if n.kind is kind] for kind in NodeKind}
+    legal = {
+        NodeKind.SUBSCRIPTION: of_kind[NodeKind.TENANT_ROOT] + of_kind[NodeKind.MANAGEMENT_GROUP],
+        NodeKind.RESOURCE_GROUP: of_kind[NodeKind.SUBSCRIPTION],
+        NodeKind.RESOURCE: of_kind[NodeKind.RESOURCE_GROUP],
+        NodeKind.RESOURCE_PART: of_kind[NodeKind.RESOURCE],
+    }
+    alternates = []
+    for index in range(draw(st.integers(1, 3))):
+        nodes = []
+        for node in native.nodes.values():
+            parent = node.parent
+            if node.kind in legal and draw(st.booleans()):
+                parent = draw(st.sampled_from(legal[node.kind]))
+            nodes.append(HierarchyNode(node.id, node.kind, parent))
+        alternates.append((f"alt{index}", build_tree(nodes)))
+    return HierarchyFamily(native=native, alternates=tuple(alternates))
 
 
 @settings(max_examples=400, deadline=None)
@@ -90,6 +122,26 @@ def test_closed_form_matches_matrix_path_and_exhaustive_tour(instance):
     items = sorted_grants(grants)
     if 1 <= len(items) <= BRUTE_FORCE_LIMIT:
         assert closed.perimeter == brute_force_tour(items, dist)
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances(max_size=16))
+def test_raw_violates_matches_triple_scan_of_raw_distances(instance):
+    tree, grants, model = instance
+    scanned = check_ultrametricity(grants, DistanceModel(tree, model), limit=1)
+    assert raw_violates(grants, tree, model) == bool(scanned)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_infimum_is_the_minimum_over_the_family(data):
+    family = data.draw(families())
+    grants = data.draw(grant_lists(family.native))
+    model = data.draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
+    for a in grants:
+        for b in grants:
+            expected = min(distance(a, b, tree, model) for _, tree in family.members())
+            assert infimum_distance(a, b, family, model) == expected
 
 
 def test_merges_show_a_write_raising_a_read_pair():

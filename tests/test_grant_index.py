@@ -24,10 +24,11 @@ HIERARCHY = [
 SCOPES = [node["id"] for node in HIERARCHY]
 
 
-def _doc(groups=(), spns=(), assignments=()):
+def _doc(groups=(), spns=(), assignments=(), alternates=()):
     return json.dumps({
         "version": 1,
         "hierarchy": HIERARCHY,
+        "alternates": list(alternates),
         "groups": list(groups),
         "spns": list(spns),
         "assignments": list(assignments),
@@ -115,6 +116,28 @@ def test_snapshot_resolves_and_builds_its_tree_once(monkeypatch):
     assert resolve_effective_grants("a", snapshot) is resolve_effective_grants("a", snapshot)
     # members that add nothing share their group's set
     assert resolve_effective_grants("a", snapshot) is resolve_effective_grants("b", snapshot)
+
+
+def test_snapshot_builds_its_family_once(monkeypatch):
+    builds = []
+    real_build = ingestion.build_tree
+
+    def counting_build(nodes):
+        builds.append(nodes)
+        return real_build(nodes)
+
+    monkeypatch.setattr(ingestion, "build_tree", counting_build)
+    snapshot = parse_snapshot(_doc(alternates=[
+        {"name": "flat", "parents": {"rg-1": "sub-2"}},
+        {"name": "same", "parents": {}},
+    ]))
+    assert len(builds) == 3  # the native tree and one per alternate, all while parsing
+    family = snapshot.family()
+    assert snapshot.native_tree() is family.native
+    assert snapshot.family() is family
+    assert [name for name, _ in family.members()] == ["native", "flat", "same"]
+    assert family.alternates[0][1].nodes["rg-1"].parent == "sub-2"
+    assert len(builds) == 3
 
 
 DEPTH = 3000

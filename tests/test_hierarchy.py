@@ -13,7 +13,7 @@ from perimetric.errors import (
     UnknownNode,
     UnknownParent,
 )
-from perimetric.hierarchy import HierarchyNode, NodeKind, build_tree, lca, lca_level
+from perimetric.hierarchy import HierarchyNode, NodeKind, build_tree, lca, lca_level, meet
 
 from helpers import random_tree
 
@@ -212,6 +212,25 @@ def test_lca_commutes_and_level_triple_inequality():
             assert lca(tree, a, b) == lca(tree, b, a)
         for a, b, c in product(ids, repeat=3):
             assert lca_level(tree, a, c) >= min(lca_level(tree, a, b), lca_level(tree, b, c))
+
+
+def test_meet_returns_the_lca_and_the_node_below_it_on_each_side():
+    rng = random.Random(13)
+    for _ in range(5):
+        tree = random_tree(rng, max_nodes=15)
+        for a, b in product(sorted(tree.nodes), repeat=2):
+            top, ca, cb = meet(tree, a, b)
+            assert top == lca(tree, a, b)
+            for side, below in ((a, ca), (b, cb)):
+                if side == top:
+                    assert below is None
+                else:
+                    assert tree.nodes[below].parent == top
+                    assert lca(tree, side, below) == below
+            if ca is not None and cb is not None:
+                assert ca != cb
+    with pytest.raises(UnknownNode):
+        meet(tree, "root", "ghost")
 
 
 def test_canonical_level_follows_kind():

@@ -94,6 +94,27 @@ def test_parse_top_level_lists_are_type_checked(field, value):
         parse_snapshot(_doc(**{field: value}))
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"spns": ["svc-1", "svc-\ud800"]},
+        {"groups": [{"id": "team", "members": ["svc-1", "\udc00"]}]},
+        {"assignments": [{"principal": "svc-1", "action": "Read\udfff", "access": "read", "scope": "sub"}]},
+        {"alternates": [{"name": "alt", "parents": {"\ud83d": "root"}}]},
+    ],
+    ids=["spn", "member", "action", "key"],
+)
+def test_parse_rejects_a_lone_surrogate(overrides):
+    # json.dumps writes each lone surrogate back as a \u escape
+    with pytest.raises(SnapshotSyntaxError, match="lone surrogate"):
+        parse_snapshot(_doc(**overrides))
+
+
+def test_parse_keeps_an_escaped_surrogate_pair():
+    snapshot = parse_snapshot(_doc(spns=["svc-\U0001f600"]))
+    assert snapshot.spns == ("svc-\U0001f600",)
+
+
 def test_parse_group_cycle():
     with pytest.raises(GroupCycle):
         parse_snapshot(_doc(groups=[
