@@ -127,7 +127,23 @@ def _render_scan_json(records: Sequence[ScanOutputRecord]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: an exception no command handles exits 3 with one line.
+
+    A failed write to stdout is the usual one. Click's own usage errors
+    (exit 2) and the commands' sys.exit codes pass through unchanged.
+    """
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+            raise
+        except Exception as exc:
+            _fail(" ".join(f"unexpected {type(exc).__name__}: {exc}".split()), 3)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Blast-radius and data-perimeter analytics over tenant snapshots."""
 

@@ -1,12 +1,15 @@
 """Distance-matrix kernels: nearest-neighbor tour, exhaustive tour, triple scan.
 
 These run on a flat row-major matrix and serve the inputs that have no
-closed form (raw and family-infimum distances, literal tables) and the
-test oracles. All tenant distances are exact dyadic rationals with
-denominator at most 2**21, so the tour kernels rescale a matrix to plain
-integers when they can and compare those; values that do not scale
-exactly (arbitrary rationals, say) are used as given. Either way results
-are exact.
+closed form and the test oracles. build_matrix calls a distance once per
+pair; check_ultrametricity skips it for a DistanceModel (raw-tree and
+family-infimum distances), which fills an integer matrix itself
+(DistanceModel.matrix). All tenant distances are exact dyadic rationals
+with denominator at most 2**21, so the tour kernels rescale a matrix to
+plain integers when they can and compare those; values that do not scale
+exactly (arbitrary rationals, say) are used as given. violations_flat
+compares the values it is given; check_ultrametricity rescales a built
+matrix once before the scan. Either way results are exact.
 """
 
 from __future__ import annotations
@@ -147,13 +150,11 @@ def violations_flat(flat: Sequence, n: int, cap: int) -> list[tuple[int, int, in
     d[i,j] < t, so the violating j of a pair (i, k) are the set bits of
     below(d[i,k], i) & below(d[i,k], k); i and k themselves never qualify,
     since d[i,k] is not below itself. Bitsets are built on first use, so a
-    scan that stops at the cap builds only the rows it reached.
+    scan that stops at the cap builds only the rows it reached. Values are
+    compared as given: integers compare much faster than Fractions.
     """
     if cap <= 0:
         return []
-    scaled = try_scale(flat)
-    if scaled is not None:
-        flat = scaled
     below: dict[object, list[int | None]] = {}  # threshold -> bitset per row
 
     def row_below(t, row: int) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from perimetric import kernels
@@ -153,6 +154,88 @@ class DistanceModel:
             return infimum_distance(a, b, self.hierarchy, self.impact)
         return distance(a, b, self.hierarchy, self.impact)
 
+    def matrix(self, points: Sequence[Grant]) -> list[int]:
+        """Flat row-major matrix of this distance over `points`, in integer units of 2**-21.
+
+        A bare tree counts as a family of one. The level of each pair of distinct
+        scopes is found once (see _scope_levels), and a cell is the pair impact
+        shifted by that level, read from a table of at most 2 x 11 ints. Equal
+        points are at 0. With two or more distinct points, the first unknown
+        scope in `points` order raises UnknownNode, as a per-pair call would.
+        """
+        if isinstance(self.hierarchy, HierarchyFamily):
+            trees = list(self.hierarchy.members())
+        else:
+            trees = [(None, self.hierarchy)]
+        n = len(points)
+        flat = [0] * (n * n)
+        if len(set(points)) < 2:
+            return flat
+        scopes = list(dict.fromkeys(g.scope for g in points))
+        m = len(scopes)
+        column = {scope: index for index, scope in enumerate(scopes)}
+        keys = [column[g.scope] + m * (g.access is AccessClass.WRITE) for g in points]
+        weights = (self.impact.read_weight, self.impact.write_weight)
+        # table[max(access of i, access of j)][level]; the n * n cells share these ints
+        table = [[w << (kernels.SCALE_BITS - 2 * level - 1) for level in range(MAX_LEVEL + 1)] for w in weights]
+        levels = _scope_levels(scopes, trees)
+        pick = itemgetter(*keys)
+        with_key: dict[int, list[int]] = {}
+        for i, key in enumerate(keys):
+            with_key.setdefault(key, []).append(i)
+        for key, indices in with_key.items():
+            write, scope = divmod(key, m)
+            # the cell against a read on each scope, then against a write
+            by_key = [*map(table[write].__getitem__, levels[scope]), *map(table[1].__getitem__, levels[scope])]
+            row = pick(by_key)
+            for i in indices:
+                flat[i * n : i * n + n] = row
+        same: dict[Grant, list[int]] = {}
+        for i, point in enumerate(points):
+            same.setdefault(point, []).append(i)
+        for indices in same.values():
+            for i in indices:
+                for j in indices:
+                    flat[i * n + j] = 0
+        return flat
+
+
+def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, TenantTree]]) -> list[list[int]]:
+    """levels[s][t]: the largest canonical level of a node above both scopes[s] and scopes[t].
+
+    Levels rise strictly down every root path, so within one tree that is the
+    level of the deepest common node, and across trees the deepest LCA level
+    infimum_distance takes. Each scope's root path is walked once per tree;
+    the first scope missing from a tree raises UnknownNode naming that tree.
+    A node is skipped when one child holds all its scopes (a chain of
+    management groups, say), since that child's higher level wins anyway.
+    """
+    m = len(scopes)
+    levels = [[0] * m for _ in range(m)]
+    for name, tree in trees:
+        under: dict[str, list[int]] = {}  # node -> indices of the scopes at or below it
+        via: dict[str, str] = {}  # node -> a child some of those scopes sit under
+        for t, scope in enumerate(scopes):
+            if scope not in tree.nodes:
+                where = f" (hierarchy {name!r})" if name is not None else ""
+                raise UnknownNode(f"node {scope!r} not in tree{where}")
+            node = scope
+            under.setdefault(node, []).append(t)
+            while (parent := tree.nodes[node].parent) is not None:
+                via[parent] = node
+                under.setdefault(parent, []).append(t)
+                node = parent
+        for node, members in under.items():
+            level = tree.canonical_level[node]
+            if level == 0 or (node in via and len(under[via[node]]) == len(members)):
+                continue
+            for s in members:
+                row = levels[s]
+                for t in members:
+                    if row[t] < level:
+                        row[t] = level
+    return levels
+
 
 class EffectiveDistance:
     """Ultrametric over one grant set under one hierarchy.
@@ -281,11 +364,27 @@ def check_ultrametricity(
 
     Returns canonical (i, j, k) index triples with i < k where
     d(i, k) > max(d(i, j), d(j, k)), capped at `limit` findings. An empty
-    result means the distance is ultrametric on this point set. The
-    matrix is quadratic in the point count; keep it at or below 2000.
+    result means the distance is ultrametric on this point set.
+
+    The path is chosen by the type of dist. A DistanceModel (one tree, or a
+    family's infimum) fills an integer matrix itself (DistanceModel.matrix)
+    and is never called per pair. Any other callable is called once per
+    pair (kernels.build_matrix), and that matrix is rescaled to integers
+    once when it is exactly dyadic; this is the oracle the integer path is
+    tested against. The matrix holds n * n cells, and a scan that finds
+    nothing ANDs two n-bit rows for every pair: a clean 1000-grant
+    principal over three trees takes about 0.5 s and 2000 grants about
+    2 s, so keep it at or below 2000. Any other callable costs several
+    times that.
     """
     n = len(points)
     if n < 3:
         return []
-    flat = kernels.build_matrix(points, dist)
+    if isinstance(dist, DistanceModel):
+        flat = dist.matrix(points)
+    else:
+        flat = kernels.build_matrix(points, dist)
+        scaled = kernels.try_scale(flat)
+        if scaled is not None:
+            flat = scaled
     return kernels.violations_flat(flat, n, limit)

@@ -26,6 +26,13 @@ def _invoke(args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
 
 
+def _run_cli(args, **kwargs):
+    """Run the CLI in a fresh interpreter, on this checkout's sources."""
+    src = str(Path(perimetric.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "perimetric.cli", *args], env=env, timeout=60, **kwargs)
+
+
 def _snapshot_text(**overrides):
     doc = {
         "version": 1,
@@ -143,17 +150,36 @@ def test_scan_rejects_malformed_input():
          "lone-surrogate"],
 )
 def test_scan_mistyped_input_exits_2_without_traceback(payload):
-    src = str(Path(perimetric.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-m", "perimetric.cli", "scan", "-"],
-        input=payload, capture_output=True, env=env, timeout=60,
-    )
+    result = _run_cli(["scan", "-"], input=payload, capture_output=True)
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
     assert result.stderr.decode().startswith("error: ")
     assert len(result.stderr.decode().splitlines()) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["scan", "check-family"])
+def test_stdout_write_failure_exits_3_without_traceback(command):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "wb") as full:
+        result = _run_cli([command, str(COUNTEREXAMPLE)], stdout=full, stderr=subprocess.PIPE)
+    stderr = result.stderr.decode()
+    assert result.returncode == 3
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: ")
+    assert len(stderr.splitlines()) == 1
+
+
+def test_unexpected_error_exits_3_with_one_line(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr("perimetric.cli.rank_spns", broken)
+    result = runner.invoke(main, ["scan", str(COUNTEREXAMPLE)])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: unexpected RuntimeError: first line second line\n"
 
 
 def test_scan_jobs_flag_is_deterministic():

@@ -3,8 +3,9 @@
 assess_principal reads an EffectiveDistance through its dendrogram; the
 matrix path (any other callable) and the exhaustive tour are the
 references. check_ultrametricity's bitset scan is checked against the
-plain cubic loop, raw_violates against a full triple scan of the raw
-distances, and infimum_distance against the minimum over the family.
+plain cubic loop, DistanceModel's integer matrix against the Fraction
+matrix of per-pair calls, raw_violates against a full triple scan of the
+raw distances, and infimum_distance against the minimum over the family.
 """
 
 import random
@@ -14,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perimetric import kernels
+from perimetric.errors import UnknownNode
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree
 from perimetric.metric import (
     DEFAULT_IMPACT,
@@ -142,6 +145,45 @@ def test_infimum_is_the_minimum_over_the_family(data):
         for b in grants:
             expected = min(distance(a, b, tree, model) for _, tree in family.members())
             assert infimum_distance(a, b, family, model) == expected
+
+
+@st.composite
+def distance_models(draw):
+    """A DistanceModel over a family or a bare tree, and grants on its nodes."""
+    hierarchy = draw(st.one_of(families(), random_trees(), st.just(chain_tree()[0])))
+    tree = hierarchy.native if isinstance(hierarchy, HierarchyFamily) else hierarchy
+    model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
+    return DistanceModel(hierarchy, model), draw(grant_lists(tree, max_size=16))
+
+
+@settings(max_examples=400, deadline=None)
+@given(distance_models())
+def test_integer_path_matches_per_pair_calls(case):
+    dist, grants = case
+    assert dist.matrix(grants) == kernels.try_scale(kernels.build_matrix(grants, dist))
+    # a plain callable is not a DistanceModel, so it takes the generic path
+    for cap in (1, 7, 100):
+        assert check_ultrametricity(grants, dist, limit=cap) == check_ultrametricity(
+            grants, lambda a, b: dist(a, b), limit=cap
+        )
+
+
+@pytest.mark.parametrize("hierarchy", ["tree", "family"])
+def test_integer_matrix_names_the_first_unknown_scope(hierarchy):
+    tree = chain_tree()[0]
+    dist = DistanceModel(HierarchyFamily(tree, (("copy", tree),)) if hierarchy == "family" else tree)
+    grants = [Grant("a", READ, "lvl03"), Grant("b", READ, "ghost"), Grant("c", WRITE, "phantom")]
+    messages = []
+    for call in (dist, lambda a, b: dist(a, b)):
+        with pytest.raises(UnknownNode) as caught:
+            check_ultrametricity(grants, call)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "'ghost'" in messages[0]
+    assert ("(hierarchy 'native')" in messages[0]) == (hierarchy == "family")
+    # equal points are at 0 without a lookup, on both paths
+    assert dist.matrix([grants[1]] * 3) == [0] * 9
+    assert check_ultrametricity([grants[1]] * 3, lambda a, b: dist(a, b)) == []
 
 
 def test_merges_show_a_write_raising_a_read_pair():

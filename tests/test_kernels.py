@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 from perimetric import kernels
-from perimetric.metric import check_ultrametricity
+from perimetric.metric import AccessClass, DistanceModel, Grant, HierarchyFamily, check_ultrametricity
 from perimetric.perimeter import perimeter
+
+from helpers import chain_tree
 
 
 def test_benchmark_reads_these_names():
@@ -15,7 +17,8 @@ def test_benchmark_reads_these_names():
         assert callable(getattr(kernels, name))
 
 
-def test_callers_look_kernels_up_by_module_attribute(monkeypatch):
+def _record_calls(monkeypatch, names) -> list[str]:
+    """Wrap kernels by module attribute; the returned list fills with the names called."""
     seen = []
 
     def recording(name, real):
@@ -25,13 +28,27 @@ def test_callers_look_kernels_up_by_module_attribute(monkeypatch):
 
         return wrapper
 
-    for name in ("build_matrix", "nn_tour_flat", "violations_flat"):
+    for name in names:
         monkeypatch.setattr(kernels, name, recording(name, getattr(kernels, name)))
+    return seen
+
+
+def test_callers_look_kernels_up_by_module_attribute(monkeypatch):
+    seen = _record_calls(monkeypatch, ("build_matrix", "nn_tour_flat", "violations_flat"))
     table = {frozenset("pq"): Fraction(1, 8), frozenset("qr"): Fraction(1, 8), frozenset("pr"): Fraction(1, 2)}
     dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
     assert perimeter(["p", "q", "r"], dist) == Fraction(3, 4)
     assert check_ultrametricity(["p", "q", "r"], dist) == [(0, 1, 2)]
     assert seen == ["build_matrix", "nn_tour_flat", "build_matrix", "violations_flat"]
+
+
+def test_distance_model_scan_calls_only_the_triple_scan(monkeypatch):
+    seen = _record_calls(monkeypatch, ("build_matrix", "try_scale", "nn_tour_flat", "violations_flat"))
+    tree = chain_tree()[0]
+    family = HierarchyFamily(tree, (("copy", tree),))
+    grants = [Grant(a, AccessClass.READ, scope) for a, scope in (("x", "lvl09"), ("y", "lvl10"), ("z", "lvl03"))]
+    assert check_ultrametricity(grants, DistanceModel(family)) == []
+    assert seen == ["violations_flat"]
 
 
 def test_nn_tour_tie_break_prefers_lowest_index():
