@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
@@ -140,7 +141,27 @@ class _Main(click.Group):
         except (click.exceptions.ClickException, click.exceptions.Exit, click.exceptions.Abort):
             raise
         except Exception as exc:
+            _release_stdout()
             _fail(" ".join(f"unexpected {type(exc).__name__}: {exc}".split()), 3)
+
+
+def _release_stdout() -> None:
+    """Flush stdout; if that fails, point its descriptor at os.devnull.
+
+    A failed write leaves its bytes in stdout's buffer, and the flush at
+    interpreter exit would fail again, print a second error and exit 120.
+    A stdout with no descriptor (a StringIO, say) is left as it is.
+    """
+    try:
+        sys.stdout.flush()
+    except (OSError, ValueError):
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):
+            return
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 @click.group(cls=_Main)

@@ -26,10 +26,16 @@ def _invoke(args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
 
 
-def _run_cli(args, **kwargs):
-    """Run the CLI in a fresh interpreter, on this checkout's sources."""
+def _run_cli(args, unbuffered=False, **kwargs):
+    """Run the CLI in a fresh interpreter, on this checkout's sources.
+
+    Stdout is block-buffered, as from a shell, unless `unbuffered` is set.
+    """
     src = str(Path(perimetric.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "perimetric.cli", *args], env=env, timeout=60, **kwargs)
 
 
@@ -159,11 +165,12 @@ def test_scan_mistyped_input_exits_2_without_traceback(payload):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("command", ["scan", "check-family"])
-def test_stdout_write_failure_exits_3_without_traceback(command):
-    # every write to /dev/full fails with ENOSPC
+def test_stdout_write_failure_exits_3_without_traceback(command, unbuffered):
+    # every write to /dev/full fails with ENOSPC; a buffered stdout fails again at exit
     with open("/dev/full", "wb") as full:
-        result = _run_cli([command, str(COUNTEREXAMPLE)], stdout=full, stderr=subprocess.PIPE)
+        result = _run_cli([command, str(COUNTEREXAMPLE)], unbuffered, stdout=full, stderr=subprocess.PIPE)
     stderr = result.stderr.decode()
     assert result.returncode == 3
     assert "Traceback" not in stderr
