@@ -1,6 +1,5 @@
 """Blast-radius ultrametric and TSP data-perimeter analytics for cloud tenants."""
 
-from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.hierarchy import (
     HierarchyNode,
     NodeKind,
@@ -55,6 +54,16 @@ from perimetric.ranking import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # the generator loads on first use, so the analytics commands never import it
+    if name in ("GeneratorConfig", "generate_synthetic_tenant"):
+        from perimetric import generator
+
+        return getattr(generator, name)
+    raise AttributeError(f"module 'perimetric' has no attribute {name!r}")
+
 
 __all__ = [
     "AccessClass",

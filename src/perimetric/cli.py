@@ -14,13 +14,11 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
 import click
 
 from perimetric import errors
-from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import (
     TenantSnapshot,
     parse_snapshot,
@@ -38,14 +36,6 @@ from perimetric.ranking import (
     render_band_report_json,
 )
 from perimetric.render import format_fixed, fraction_str
-
-
-@dataclass(frozen=True)
-class ScanOutputRecord:
-    """One scan row; fields mirror PrincipalRisk plus the band label."""
-
-    risk: PrincipalRisk
-    band_label: str | None
 
 
 def _fail(message: str, code: int) -> NoReturn:
@@ -70,59 +60,59 @@ def _assess_snapshot(snapshot: TenantSnapshot) -> list[PrincipalRisk]:
     return risks
 
 
-def _scan_records(snapshot: TenantSnapshot) -> list[ScanOutputRecord]:
+def _scan_records(snapshot: TenantSnapshot) -> list[tuple[PrincipalRisk, str | None]]:
+    """Ranked records, each with its band label (None for radius 0)."""
     bands = enumerate_bands()
     records = []
     for risk in rank_spns(_assess_snapshot(snapshot)):
-        band = band_of(risk.blast_radius, bands)
-        records.append(ScanOutputRecord(risk=risk, band_label=band.label if band else None))
+        band = band_of(risk.radius, bands, risk.unit)
+        records.append((risk, band.label if band else None))
     return records
 
 
-def _render_scan_csv(records: Sequence[ScanOutputRecord]) -> str:
+def _render_scan_csv(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"]
     )
-    for record in records:
-        r = record.risk
+    for r, band in records:
         writer.writerow(
             [
                 r.spn,
                 r.n,
-                format_fixed(r.blast_radius),
-                record.band_label or "-",
-                format_fixed(r.perimeter),
-                format_fixed(r.mean_distance),
-                format_fixed(r.spread_ratio),
+                format_fixed(r.radius, r.unit),
+                band or "-",
+                format_fixed(r.length, r.unit),
+                format_fixed(*r.mean_parts),
+                format_fixed(*r.spread_parts),
                 "true" if r.ultracycle is not None else "false",
             ]
         )
     return out.getvalue()
 
 
-def _render_scan_json(records: Sequence[ScanOutputRecord]) -> str:
+def _render_scan_json(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:
     doc = {
         "records": [
             {
-                "spn": r.risk.spn,
-                "n": r.risk.n,
-                "blast_radius": format_fixed(r.risk.blast_radius),
-                "blast_radius_exact": fraction_str(r.risk.blast_radius),
-                "band": r.band_label,
-                "perimeter": format_fixed(r.risk.perimeter),
-                "perimeter_exact": fraction_str(r.risk.perimeter),
-                "mean_distance": format_fixed(r.risk.mean_distance),
-                "mean_distance_exact": fraction_str(r.risk.mean_distance),
-                "spread_ratio": format_fixed(r.risk.spread_ratio),
-                "spread_ratio_exact": fraction_str(r.risk.spread_ratio),
-                "ultracycle": r.risk.ultracycle is not None,
+                "spn": r.spn,
+                "n": r.n,
+                "blast_radius": format_fixed(r.radius, r.unit),
+                "blast_radius_exact": fraction_str(r.radius, r.unit),
+                "band": band,
+                "perimeter": format_fixed(r.length, r.unit),
+                "perimeter_exact": fraction_str(r.length, r.unit),
+                "mean_distance": format_fixed(*r.mean_parts),
+                "mean_distance_exact": fraction_str(*r.mean_parts),
+                "spread_ratio": format_fixed(*r.spread_parts),
+                "spread_ratio_exact": fraction_str(*r.spread_parts),
+                "ultracycle": r.ultracycle is not None,
                 "ultracycle_distance": (
-                    fraction_str(r.risk.ultracycle) if r.risk.ultracycle is not None else None
+                    fraction_str(r.radius, r.unit) if r.ultracycle is not None else None
                 ),
             }
-            for r in records
+            for r, band in records
         ]
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -201,7 +191,7 @@ def bands(snapshot, fmt: str, anonymize: bool, seed: int) -> None:
         rows = band_report(risks, anonymize=anonymize, seed=seed)
     except errors.PerimetricError as exc:
         _fail(str(exc), 3)
-    no_permissions = sum(1 for r in risks if r.blast_radius == 0)
+    no_permissions = sum(1 for r in risks if r.radius == 0)
     render = render_band_report_csv if fmt == "csv" else render_band_report_json
     click.echo(render(rows, no_permissions), nl=False)
 
@@ -277,6 +267,8 @@ def check_family(snapshot, limit: int) -> None:
 def generate(seed, spns, archetype, tight, dispersed, mixed, management_groups,
              subscriptions, resource_groups, resources, parts) -> None:
     """Emit a deterministic synthetic tenant snapshot on standard output."""
+    from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
+
     explicit = {"tight": tight, "dispersed": dispersed, "mixed": mixed}
     if spns is not None and any(v is not None for v in explicit.values()):
         _fail("--spns cannot be combined with --tight/--dispersed/--mixed", 2)
@@ -314,7 +306,7 @@ def explain(snapshot, spn: str) -> None:
     try:
         dist = effective_distance(grants, parsed.native_tree())
         risk = assess_principal(spn, grants, dist)
-        band = band_of(risk.blast_radius, enumerate_bands())
+        band = band_of(risk.radius, enumerate_bands(), risk.unit)
     except errors.PerimetricError as exc:
         _fail(str(exc), 3)
 
@@ -335,15 +327,16 @@ def explain(snapshot, spn: str) -> None:
                 f"  [{a}] {ga.action} @ {ga.scope} -> [{b}] {gb.action} @ {gb.scope}"
                 f"  d = {fraction_str(dist(ga, gb))}"
             )
+    radius, length = (risk.radius, risk.unit), (risk.length, risk.unit)
     click.echo(
-        f"blast radius: {format_fixed(risk.blast_radius)} ({fraction_str(risk.blast_radius)})"
+        f"blast radius: {format_fixed(*radius)} ({fraction_str(*radius)})"
         f"  band: {band.label if band else '-'}"
     )
-    click.echo(f"perimeter: {format_fixed(risk.perimeter)} ({fraction_str(risk.perimeter)})")
-    click.echo(f"mean distance: {format_fixed(risk.mean_distance)} ({fraction_str(risk.mean_distance)})")
-    click.echo(f"spread ratio: {format_fixed(risk.spread_ratio)} ({fraction_str(risk.spread_ratio)})")
+    click.echo(f"perimeter: {format_fixed(*length)} ({fraction_str(*length)})")
+    click.echo(f"mean distance: {format_fixed(*risk.mean_parts)} ({fraction_str(*risk.mean_parts)})")
+    click.echo(f"spread ratio: {format_fixed(*risk.spread_parts)} ({fraction_str(*risk.spread_parts)})")
     if risk.ultracycle is not None:
-        click.echo(f"ultracycle: yes (xi = {fraction_str(risk.ultracycle)})")
+        click.echo(f"ultracycle: yes (xi = {fraction_str(*radius)})")
     else:
         click.echo("ultracycle: no")
 

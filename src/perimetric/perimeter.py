@@ -7,14 +7,16 @@ tour crosses the top merge once per block and every other merge one time
 fewer than it has blocks. Any other distance callable goes through the
 pairwise matrix and the greedy nearest-neighbor tour, which attains the
 minimum on ultrametric distances; that path, and the exhaustive oracle,
-are what the tests check the closed form against. All lengths are exact
-rationals.
+are what the tests check the closed form against. Inside, lengths are
+integers over one denominator per record (2**21 on the closed form);
+PrincipalRisk's properties turn them into exact Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from perimetric import kernels
@@ -36,15 +38,56 @@ class Tour:
 
 @dataclass(frozen=True)
 class PrincipalRisk:
-    """Risk geometry of one service principal's effective grant set."""
+    """Risk geometry of one service principal's effective grant set.
+
+    radius, length (the perimeter) and pair_sum (of all distinct pairs'
+    distances) are integers in units of 1/unit; unit is kernels.SCALE
+    unless a distance has a denominator that does not divide it. The
+    public figures are exact Fractions built from them on each read.
+    """
 
     spn: str
     n: int
-    blast_radius: Fraction
-    perimeter: Fraction
-    mean_distance: Fraction
-    spread_ratio: Fraction
-    ultracycle: Fraction | None
+    radius: int
+    length: int
+    pair_sum: int
+    unit: int = kernels.SCALE
+
+    @property
+    def blast_radius(self) -> Fraction:
+        return Fraction(self.radius, self.unit)
+
+    @property
+    def perimeter(self) -> Fraction:
+        return Fraction(self.length, self.unit)
+
+    @property
+    def mean_parts(self) -> tuple[int, int]:
+        """Mean distance as an unreduced (numerator, denominator); 0 below two grants."""
+        pairs = self.n * (self.n - 1) // 2
+        return (self.pair_sum, self.unit * pairs) if pairs else (0, 1)
+
+    @property
+    def mean_distance(self) -> Fraction:
+        return Fraction(*self.mean_parts)
+
+    @property
+    def spread_parts(self) -> tuple[int, int]:
+        """Perimeter over n times the mean, unreduced; (1, 1) where that is undefined."""
+        if self.pair_sum > 0:
+            return self.length * (self.n - 1), 2 * self.pair_sum
+        return 1, 1
+
+    @property
+    def spread_ratio(self) -> Fraction:
+        return Fraction(*self.spread_parts)
+
+    @property
+    def ultracycle(self) -> Fraction | None:
+        """Common pairwise distance if all pairs are equal and positive, else None."""
+        if self.radius > 0 and self.pair_sum == self.radius * (self.n * (self.n - 1) // 2):
+            return self.blast_radius
+        return None
 
 
 def sorted_grants(grants: Iterable[Grant]) -> tuple[Grant, ...]:
@@ -135,53 +178,32 @@ def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> Princip
     items = sorted_grants(grants)
     n = len(items)
     if n <= 1:
-        return PrincipalRisk(
-            spn=spn,
-            n=n,
-            blast_radius=Fraction(0),
-            perimeter=Fraction(0),
-            mean_distance=Fraction(0),
-            spread_ratio=Fraction(1),
-            ultracycle=None,
-        )
-
+        return PrincipalRisk(spn, n, 0, 0, 0)
     if isinstance(dist, EffectiveDistance):
-        radius, length, mean = _dendrogram_geometry(dist.merges(items), n)
-    else:
-        radius, length, mean = _matrix_geometry(items, dist)
-    return PrincipalRisk(
-        spn=spn,
-        n=n,
-        blast_radius=radius,
-        perimeter=length,
-        mean_distance=mean,
-        spread_ratio=spread_ratio(n, length, mean),
-        ultracycle=radius if radius > 0 and mean == radius else None,
-    )
+        return PrincipalRisk(spn, n, *_dendrogram_geometry(dist.merges(items)))
+    return PrincipalRisk(spn, n, *_matrix_geometry(items, dist))
 
 
-def _dendrogram_geometry(
-    merges: list[tuple[int, tuple[int, ...]]], n: int
-) -> tuple[Fraction, Fraction, Fraction]:
-    """Radius, minimal tour length and mean distance from merges in 2**-21 units."""
+def _dendrogram_geometry(merges: list[tuple[int, tuple[int, ...]]]) -> tuple[int, int, int]:
+    """Radius, minimal tour length and pair sum from merges, all in 2**-21 units."""
     *inner, (top, top_blocks) = merges
     length = top * len(top_blocks) + sum(height * (len(sizes) - 1) for height, sizes in inner)
     # a merge joins every pair of points that lie in two different blocks
     pair_sum = sum(
         height * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for height, sizes in merges
     )
-    scale = kernels.SCALE
-    return (
-        Fraction(top, scale),
-        Fraction(length, scale),
-        Fraction(pair_sum, scale * (n * (n - 1) // 2)),
-    )
+    return top, length, pair_sum
 
 
-def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[Fraction, Fraction, Fraction]:
-    """Radius, nearest-neighbor tour length from index 0 and mean distance."""
+def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[int, int, int, int]:
+    """Radius, nearest-neighbor tour length from index 0, pair sum and their unit.
+
+    The unit is the lcm of kernels.SCALE and every distance's denominator, so
+    dyadic distances give the closed form's record and any rational stays exact.
+    """
     n = len(items)
     flat = kernels.build_matrix(items, dist)
     values = [Fraction(flat[i * n + j]) for i in range(n) for j in range(i + 1, n)]
+    unit = lcm(kernels.SCALE, *(value.denominator for value in values))
     _, length = kernels.nn_tour_flat(flat, n, 0)
-    return max(values), length, sum(values, Fraction(0)) / len(values)
+    return int(max(values) * unit), int(length * unit), int(sum(values) * unit), unit

@@ -17,9 +17,11 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from perimetric.errors import NonCanonicalWeights, UnbandableRadius
+from perimetric.kernels import SCALE
 from perimetric.metric import AccessClass, DEFAULT_IMPACT, ImpactModel
 from perimetric.perimeter import PrincipalRisk
 from perimetric.render import format_fixed, fraction_str, roman
@@ -64,11 +66,20 @@ class BandReportRow:
     band: Band | None
 
 
+class BandCensus(tuple):
+    """A tuple of bands plus by_units, each band keyed by its value in 2**-21 units."""
+
+    def __new__(cls, bands: Iterable[Band]) -> "BandCensus":
+        census = super().__new__(cls, bands)
+        census.by_units = {band.value * SCALE: band for band in census}
+        return census
+
+
 def regime_for(band_value: Fraction) -> Regime:
     return Regime.TIGHT if band_value < TIGHT_RADIUS_BOUND else Regime.DISPERSED
 
 
-def enumerate_bands(model: ImpactModel = DEFAULT_IMPACT) -> tuple[Band, ...]:
+def enumerate_bands(model: ImpactModel = DEFAULT_IMPACT) -> BandCensus:
     """All bands in strictly decreasing radius order.
 
     Raises NonCanonicalWeights when the weights collapse the census below
@@ -89,22 +100,34 @@ def enumerate_bands(model: ImpactModel = DEFAULT_IMPACT) -> tuple[Band, ...]:
             f"weights ({model.read_weight}, {model.write_weight}) yield "
             f"{len(values)} distinct band values, expected {EXPECTED_BAND_COUNT}"
         )
-    return tuple(sorted(bands, key=lambda band: band.value, reverse=True))
+    return BandCensus(sorted(bands, key=lambda band: band.value, reverse=True))
 
 
-def band_of(radius: Fraction, bands: Sequence[Band]) -> Band | None:
-    """Band whose value equals the radius exactly; None for radius 0."""
+def band_of(radius: Fraction | int, bands: Sequence[Band], unit: int = 1) -> Band | None:
+    """Band whose value equals radius / unit exactly; None for radius 0.
+
+    The band is a dict lookup on the value in units of 2**-21; a census
+    from enumerate_bands carries its index, other sequences are indexed
+    on each call.
+    """
     if radius == 0:
         return None
-    for band in bands:
-        if band.value == radius:
-            return band
-    raise UnbandableRadius(f"radius {radius} is not a canonical band value")
+    index = (bands if isinstance(bands, BandCensus) else BandCensus(bands)).by_units
+    band = index.get(radius if unit == SCALE else Fraction(radius * SCALE, unit))
+    if band is None:
+        raise UnbandableRadius(f"radius {Fraction(radius, unit)} is not a canonical band value")
+    return band
 
 
 def rank_spns(risks: Iterable[PrincipalRisk]) -> list[PrincipalRisk]:
-    """Sort by blast radius desc, perimeter desc, then spn id asc."""
-    return sorted(risks, key=lambda r: (-r.blast_radius, -r.perimeter, r.spn))
+    """Sort by blast radius desc, perimeter desc, then spn id asc.
+
+    The keys are integers over the lcm of the records' units (one unit,
+    scale 1, on every CLI path).
+    """
+    risks = list(risks)
+    unit = lcm(*{r.unit for r in risks})
+    return sorted(risks, key=lambda r: (-r.radius * (unit // r.unit), -r.length * (unit // r.unit), r.spn))
 
 
 def band_report(
@@ -120,17 +143,16 @@ def band_report(
     shuffled order.
     """
     bands = enumerate_bands()
-    buckets: dict[Fraction, list[PrincipalRisk]] = {}
+    buckets: dict[str, list[PrincipalRisk]] = {}
     for risk in risks:
-        if risk.blast_radius == 0:
+        if risk.radius == 0:
             continue
-        band = band_of(risk.blast_radius, bands)
-        assert band is not None
-        buckets.setdefault(band.value, []).append(risk)
+        band = band_of(risk.radius, bands, risk.unit)
+        buckets.setdefault(band.label, []).append(risk)
 
     rows = []
     for band in bands:
-        members = buckets.get(band.value)
+        members = buckets.get(band.label)
         if not members:
             continue
         avg = sum((m.spread_ratio for m in members), Fraction(0)) / len(members)

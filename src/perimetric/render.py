@@ -1,4 +1,9 @@
-"""Exact-value rendering helpers for reports."""
+"""Exact-value rendering helpers for reports.
+
+Values arrive as a numerator and a denominator (a Fraction also works):
+fixed decimals are read off the unreduced quotient, and only the exact
+'p/q' form reduces by the gcd.
+"""
 
 from __future__ import annotations
 
@@ -11,21 +16,23 @@ _ROMAN = (
 )
 
 
-def format_fixed(value: Fraction | int, digits: int = 6) -> str:
-    """Render an exact non-negative rational with fixed decimals, half-to-even."""
-    frac = Fraction(value)
-    num, den = frac.numerator, frac.denominator
-    scaled = num * 10**digits
-    q, r = divmod(scaled, den)
+def format_fixed(num: Fraction | int, den: int = 1, digits: int = 6) -> str:
+    """Render num / den, an exact non-negative rational, with fixed decimals, half-to-even.
+
+    The quotient need not be reduced; a Fraction num is divided by den.
+    """
+    if isinstance(num, Fraction):
+        num, den = num.numerator, num.denominator * den
+    q, r = divmod(num * 10**digits, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
     whole, part = divmod(q, 10**digits)
     return f"{whole}.{part:0{digits}d}"
 
 
-def fraction_str(value: Fraction | int) -> str:
-    """Exact rational as 'p/q' (or a bare integer when q is 1)."""
-    return str(Fraction(value))
+def fraction_str(num: Fraction | int, den: int = 1) -> str:
+    """Exact rational num / den as reduced 'p/q' (or a bare integer when q is 1)."""
+    return str(Fraction(num, den))
 
 
 def roman(n: int) -> str:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from fractions import Fraction
 
-from perimetric.errors import UnknownPrincipal
+from perimetric import kernels
+from perimetric.errors import UnbandableRadius, UnknownPrincipal
 from perimetric.hierarchy import (
     MAX_MG_DEPTH,
     HierarchyNode,
@@ -13,7 +16,8 @@ from perimetric.hierarchy import (
     build_tree,
 )
 from perimetric.ingestion import TenantSnapshot
-from perimetric.metric import AccessClass, DistanceModel, Grant
+from perimetric.metric import AccessClass, DistanceModel, EffectiveDistance, Grant
+from perimetric.perimeter import sorted_grants, spread_ratio
 
 # One node per canonical level 0..10: root, mg1..mg6, sub, rg, res, part.
 _CHAIN_KINDS = (
@@ -144,3 +148,66 @@ def triple_violations_cubic(flat: list, n: int, cap: int) -> list[tuple[int, int
                     if len(found) == cap:
                         return found
     return found
+
+
+@dataclass(frozen=True)
+class FractionRisk:
+    """Oracle record: PrincipalRisk's public figures, each stored as a Fraction."""
+
+    spn: str
+    n: int
+    blast_radius: Fraction
+    perimeter: Fraction
+    mean_distance: Fraction
+    spread_ratio: Fraction
+    ultracycle: Fraction | None
+
+
+def fraction_assess(spn: str, grants, dist) -> FractionRisk:
+    """Oracle for assess_principal: every figure computed in Fractions, on the
+    closed form for an EffectiveDistance and on the matrix otherwise."""
+    items = sorted_grants(grants)
+    n = len(items)
+    if n <= 1:
+        return FractionRisk(spn, n, Fraction(0), Fraction(0), Fraction(0), Fraction(1), None)
+    if isinstance(dist, EffectiveDistance):
+        *inner, (top, top_blocks) = merges = dist.merges(items)
+        length = top * len(top_blocks) + sum(h * (len(sizes) - 1) for h, sizes in inner)
+        pair_sum = sum(h * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for h, sizes in merges)
+        scale = kernels.SCALE
+        radius = Fraction(top, scale)
+        length = Fraction(length, scale)
+        mean = Fraction(pair_sum, scale * (n * (n - 1) // 2))
+    else:
+        flat = kernels.build_matrix(items, dist)
+        values = [Fraction(flat[i * n + j]) for i in range(n) for j in range(i + 1, n)]
+        _, length = kernels.nn_tour_flat(flat, n, 0)
+        radius, mean = max(values), sum(values, Fraction(0)) / len(values)
+    ultracycle = radius if radius > 0 and mean == radius else None
+    return FractionRisk(spn, n, radius, length, mean, spread_ratio(n, length, mean), ultracycle)
+
+
+def fraction_rank(risks):
+    """Oracle for rank_spns: sort on Fraction keys."""
+    return sorted(risks, key=lambda r: (-r.blast_radius, -r.perimeter, r.spn))
+
+
+def band_of_linear(radius: Fraction, bands):
+    """Oracle for band_of: compare the radius with every band value in turn."""
+    if radius == 0:
+        return None
+    for band in bands:
+        if band.value == radius:
+            return band
+    raise UnbandableRadius(f"radius {radius} is not a canonical band value")
+
+
+def format_fixed_fraction(value, digits: int = 6) -> str:
+    """Oracle for render.format_fixed: reduce to a Fraction, then round half-to-even."""
+    frac = Fraction(value)
+    num, den = frac.numerator, frac.denominator
+    q, r = divmod(num * 10**digits, den)
+    if 2 * r > den or (2 * r == den and q % 2 == 1):
+        q += 1
+    whole, part = divmod(q, 10**digits)
+    return f"{whole}.{part:0{digits}d}"

@@ -26,7 +26,7 @@ def _invoke(args, **kwargs):
     return runner.invoke(main, args, catch_exceptions=False, **kwargs)
 
 
-def _run_cli(args, unbuffered=False, **kwargs):
+def _run_cli(args, unbuffered=False, python_flags=(), **kwargs):
     """Run the CLI in a fresh interpreter, on this checkout's sources.
 
     Stdout is block-buffered, as from a shell, unless `unbuffered` is set.
@@ -36,7 +36,9 @@ def _run_cli(args, unbuffered=False, **kwargs):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "perimetric.cli", *args], env=env, timeout=60, **kwargs)
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "perimetric.cli", *args], env=env, timeout=60, **kwargs
+    )
 
 
 def _snapshot_text(**overrides):
@@ -176,6 +178,23 @@ def test_stdout_write_failure_exits_3_without_traceback(command, unbuffered):
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ")
     assert len(stderr.splitlines()) == 1
+
+
+def test_scan_never_imports_the_generator():
+    result = _run_cli(["scan", str(COUNTEREXAMPLE)], python_flags=("-X", "importtime"), capture_output=True)
+    assert result.returncode == 0
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.decode().splitlines()]
+    assert "perimetric.ingestion" in imported
+    assert "perimetric.generator" not in imported
+    # the package still resolves the generator's names on first use
+    probe = (
+        "import sys, perimetric; assert 'perimetric.generator' not in sys.modules; "
+        "from perimetric import GeneratorConfig, generate_synthetic_tenant; "
+        "import perimetric.generator as g; "
+        "assert (GeneratorConfig, generate_synthetic_tenant) == (g.GeneratorConfig, g.generate_synthetic_tenant)"
+    )
+    src = str(Path(perimetric.__file__).resolve().parent.parent)
+    subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src}, check=True, timeout=60)
 
 
 def test_unexpected_error_exits_3_with_one_line(monkeypatch):

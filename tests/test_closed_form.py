@@ -2,7 +2,8 @@
 
 assess_principal reads an EffectiveDistance through its dendrogram; the
 matrix path (any other callable) and the exhaustive tour are the
-references. check_ultrametricity's bitset scan is checked against the
+references. The integer record, its ranking, banding and rendering are
+checked against the Fraction arithmetic they replace. check_ultrametricity's bitset scan is checked against the
 plain cubic loop, DistanceModel's integer matrix against the Fraction
 matrix of per-pair calls, raw_violates against a full triple scan of the
 raw distances, and infimum_distance against the minimum over the family.
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimetric import kernels
-from perimetric.errors import UnknownNode
+from perimetric.errors import UnbandableRadius, UnknownNode
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree
 from perimetric.metric import (
     DEFAULT_IMPACT,
@@ -32,8 +33,17 @@ from perimetric.metric import (
     raw_violates,
 )
 from perimetric.perimeter import BRUTE_FORCE_LIMIT, assess_principal, brute_force_tour, sorted_grants
+from perimetric.ranking import band_of, enumerate_bands, rank_spns
+from perimetric.render import format_fixed, fraction_str
 
-from helpers import chain_tree, triple_violations_cubic
+from helpers import (
+    band_of_linear,
+    chain_tree,
+    format_fixed_fraction,
+    fraction_assess,
+    fraction_rank,
+    triple_violations_cubic,
+)
 
 READ = AccessClass.READ
 WRITE = AccessClass.WRITE
@@ -125,6 +135,91 @@ def test_closed_form_matches_matrix_path_and_exhaustive_tour(instance):
     items = sorted_grants(grants)
     if 1 <= len(items) <= BRUTE_FORCE_LIMIT:
         assert closed.perimeter == brute_force_tour(items, dist)
+
+
+_PUBLIC_FIELDS = ("spn", "n", "blast_radius", "perimeter", "mean_distance", "spread_ratio", "ultracycle")
+
+
+@st.composite
+def principal_sets(draw):
+    """One tree and model, and one to five principals of 0 to 16 grants on it."""
+    tree = draw(st.one_of(st.just(chain_tree()[0]), random_trees()))
+    model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
+    grant_sets = draw(st.lists(grant_lists(tree, max_size=16), min_size=1, max_size=5))
+    return tree, model, grant_sets
+
+
+@settings(max_examples=400, deadline=None)
+@given(principal_sets())
+def test_integer_record_matches_fraction_oracle(case):
+    tree, model, grant_sets = case
+    bands = enumerate_bands(model)
+    for closed_form in (True, False):
+        risks, oracles = [], []
+        for index, grants in enumerate(grant_sets):
+            dist = effective_distance(grants, tree, model)
+            if not closed_form:
+                dist = lambda a, b, dist=dist: dist(a, b)  # noqa: E731
+            risk = assess_principal(f"s{index}", grants, dist)
+            oracle = fraction_assess(f"s{index}", grants, dist)
+            assert risk.unit == kernels.SCALE
+            for field in _PUBLIC_FIELDS:
+                assert getattr(risk, field) == getattr(oracle, field), field
+            assert band_of(risk.radius, bands, risk.unit) == band_of_linear(oracle.blast_radius, bands)
+            risks.append(risk)
+            oracles.append(oracle)
+        assert [r.spn for r in rank_spns(risks)] == [r.spn for r in fraction_rank(oracles)]
+
+
+def test_non_dyadic_table_stays_exact():
+    thirds = {frozenset(pair): Fraction(1, 3) for pair in ((0, 1), (1, 2), (0, 2))}
+    risk = assess_principal("thirds", [0, 1, 2], lambda a, b: thirds[frozenset((a, b))])
+    assert risk.unit == 3 * kernels.SCALE
+    assert (risk.blast_radius, risk.perimeter, risk.mean_distance) == (Fraction(1, 3), 1, Fraction(1, 3))
+    assert (risk.spread_ratio, risk.ultracycle) == (1, Fraction(1, 3))
+    mixed = {frozenset((0, 1)): Fraction(1, 3), frozenset((1, 2)): Fraction(1, 5), frozenset((0, 2)): Fraction(1, 8)}
+    dist = lambda a, b: mixed[frozenset((a, b))]  # noqa: E731
+    risk = assess_principal("mixed", [0, 1, 2], dist)
+    oracle = fraction_assess("mixed", [0, 1, 2], dist)
+    assert risk.unit == 15 * kernels.SCALE
+    for field in _PUBLIC_FIELDS:
+        assert getattr(risk, field) == getattr(oracle, field), field
+    assert risk.mean_distance == Fraction(1, 3 * 3) + Fraction(1, 5 * 3) + Fraction(1, 8 * 3)
+    # records of different units rank on a common one, as on Fraction keys
+    tree, scopes = chain_tree()
+    dyadic = [Grant("a", READ, scopes[0]), Grant("b", WRITE, scopes[1])]
+    thirds_risk = assess_principal("thirds", [0, 1, 2], lambda a, b: thirds[frozenset((a, b))])
+    ranked = [risk, thirds_risk] + [
+        assess_principal(spn, dyadic, effective_distance(dyadic, tree)) for spn in ("d1", "d0")
+    ]
+    assert [r.spn for r in rank_spns(ranked)] == ["d0", "d1", "thirds", "mixed"]
+    assert rank_spns(ranked) == fraction_rank(ranked)
+    # a band is found whatever the unit; radius 1/3 is in no band
+    bands = enumerate_bands()
+    for census in (bands, list(bands)):  # a plain sequence is indexed on the call
+        assert band_of(3 * kernels.SCALE, census, 3 * kernels.SCALE) == band_of_linear(1, bands)
+    with pytest.raises(UnbandableRadius, match="radius 1/3 is not"):
+        band_of(thirds_risk.radius, bands, thirds_risk.unit)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 10**12),
+    st.integers(1, 10**12),
+    st.integers(1, 10**6),
+    st.integers(0, 9),
+)
+def test_format_fixed_on_unreduced_parts_matches_fraction_oracle(num, den, k, digits):
+    value = Fraction(num, den)
+    assert format_fixed(num * k, den * k, digits=digits) == format_fixed_fraction(value, digits)
+    assert format_fixed(value, digits=digits) == format_fixed_fraction(value, digits)
+    assert format_fixed(value, k, digits=digits) == format_fixed_fraction(value / k, digits)
+    assert fraction_str(num * k, den * k) == str(value)
+    # an exact tie at the last digit, unreduced: half-to-even on both
+    tie = 2 * (num % 10**7) + 1, 2 * 10**digits
+    assert format_fixed(tie[0] * k, tie[1] * k, digits=digits) == format_fixed_fraction(
+        Fraction(*tie), digits
+    )
 
 
 @settings(max_examples=400, deadline=None)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from perimetric import kernels
 from perimetric.errors import NonCanonicalWeights, UnbandableRadius
 from perimetric.metric import AccessClass, DistanceModel, ImpactModel
 from perimetric.perimeter import PrincipalRisk
@@ -21,15 +22,14 @@ from helpers import random_grants, random_tree
 
 
 def _risk(spn, radius, perimeter=Fraction(0), ratio=Fraction(1), n=3):
-    return PrincipalRisk(
-        spn=spn,
-        n=n,
-        blast_radius=radius,
-        perimeter=perimeter,
-        mean_distance=Fraction(0),
-        spread_ratio=ratio,
-        ultracycle=None,
-    )
+    """A record with these figures; a ratio other than 1 needs a positive perimeter.
+
+    The unit is chosen so that the pair sum is an integer, so it varies with
+    the ratio and rank_spns meets records of different units.
+    """
+    unit = 2 * ratio.numerator * kernels.SCALE
+    pair_sum = perimeter * kernels.SCALE * (n - 1) * ratio.denominator
+    return PrincipalRisk(spn, n, int(radius * unit), int(perimeter * unit), int(pair_sum), unit)
 
 
 def test_band_census_is_22_strictly_decreasing():
@@ -176,7 +176,7 @@ def test_band_report_anonymize_is_seeded_and_roman():
 
 
 def test_render_csv_and_json_shapes():
-    rows = band_report([_risk("a", Fraction(1), ratio=Fraction(1, 3))])
+    rows = band_report([_risk("a", Fraction(1), perimeter=Fraction(2), ratio=Fraction(1, 3))])
     csv_text = render_band_report_csv(rows, no_permissions=2)
     lines = csv_text.splitlines()
     assert lines[0] == "band,spn_count,avg_spread_ratio,regime"
