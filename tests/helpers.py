@@ -172,11 +172,10 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
         return FractionRisk(spn, n, Fraction(0), Fraction(0), Fraction(0), Fraction(1), None)
     if isinstance(dist, EffectiveDistance):
         *inner, (top, top_blocks) = merges = dist.merges(items)
-        length = top * len(top_blocks) + sum(h * (len(sizes) - 1) for h, sizes in inner)
+        tour = top * len(top_blocks) + sum(h * (len(sizes) - 1) for h, sizes in inner)
         pair_sum = sum(h * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for h, sizes in merges)
         scale = kernels.SCALE
-        radius = Fraction(top, scale)
-        length = Fraction(length, scale)
+        radius, length = Fraction(top, scale), Fraction(tour, scale)
         mean = Fraction(pair_sum, scale * (n * (n - 1) // 2))
     else:
         flat = kernels.build_matrix(items, dist)

@@ -3,10 +3,11 @@
 assess_principal reads an EffectiveDistance through its dendrogram; the
 matrix path (any other callable) and the exhaustive tour are the
 references. The integer record, its ranking, banding and rendering are
-checked against the Fraction arithmetic they replace. check_ultrametricity's bitset scan is checked against the
-plain cubic loop, DistanceModel's integer matrix against the Fraction
-matrix of per-pair calls, raw_violates against a full triple scan of the
-raw distances, and infimum_distance against the minimum over the family.
+checked against the Fraction arithmetic they replace.
+check_ultrametricity's bitset scan is checked against the plain cubic
+loop, DistanceModel's integer matrix against the Fraction matrix of
+per-pair calls, raw_violates against a full triple scan of the raw
+distances, and infimum_distance against the minimum over the family.
 """
 
 import random
@@ -173,10 +174,11 @@ def test_integer_record_matches_fraction_oracle(case):
 
 def test_non_dyadic_table_stays_exact():
     thirds = {frozenset(pair): Fraction(1, 3) for pair in ((0, 1), (1, 2), (0, 2))}
-    risk = assess_principal("thirds", [0, 1, 2], lambda a, b: thirds[frozenset((a, b))])
-    assert risk.unit == 3 * kernels.SCALE
-    assert (risk.blast_radius, risk.perimeter, risk.mean_distance) == (Fraction(1, 3), 1, Fraction(1, 3))
-    assert (risk.spread_ratio, risk.ultracycle) == (1, Fraction(1, 3))
+    thirds_risk = assess_principal("thirds", [0, 1, 2], lambda a, b: thirds[frozenset((a, b))])
+    assert thirds_risk.unit == 3 * kernels.SCALE
+    assert (thirds_risk.blast_radius, thirds_risk.perimeter) == (Fraction(1, 3), 1)
+    assert (thirds_risk.mean_distance, thirds_risk.spread_ratio) == (Fraction(1, 3), 1)
+    assert thirds_risk.ultracycle == Fraction(1, 3)
     mixed = {frozenset((0, 1)): Fraction(1, 3), frozenset((1, 2)): Fraction(1, 5), frozenset((0, 2)): Fraction(1, 8)}
     dist = lambda a, b: mixed[frozenset((a, b))]  # noqa: E731
     risk = assess_principal("mixed", [0, 1, 2], dist)
@@ -188,7 +190,6 @@ def test_non_dyadic_table_stays_exact():
     # records of different units rank on a common one, as on Fraction keys
     tree, scopes = chain_tree()
     dyadic = [Grant("a", READ, scopes[0]), Grant("b", WRITE, scopes[1])]
-    thirds_risk = assess_principal("thirds", [0, 1, 2], lambda a, b: thirds[frozenset((a, b))])
     ranked = [risk, thirds_risk] + [
         assess_principal(spn, dyadic, effective_distance(dyadic, tree)) for spn in ("d1", "d0")
     ]
