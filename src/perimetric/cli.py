@@ -3,8 +3,10 @@
 Commands: scan, bands, check-family, generate, explain. Snapshots are
 read from a path or standard input (`-`). Exit codes are stable: 0 for
 success or a clean check, 1 when check-family finds violations, 2 for
-input errors, 3 for internal invariant breaches. All output is a
-deterministic function of (input bytes, flags, seed).
+input errors, 3 for an internal error: an invariant breach, or an
+exception no command handles, such as a failed write to stdout. Every
+error is one `error: ...` line on stderr, never a traceback. All output
+is a deterministic function of (input bytes, flags, seed).
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ management groups nested at most 6 deep, then subscriptions, resource
 groups, resources and resource parts. Every node gets a canonical level
 used by the distance formula: the tenant root is 0, a management group
 takes its nesting depth (1..6), subscriptions are 7, resource groups 8,
-resources 9 and resource parts 10. Trees are immutable after build and
-safe to share across workers.
+resources 9 and resource parts 10. Trees are immutable after build.
 """
 
 from __future__ import annotations
@@ -75,12 +74,6 @@ class TenantTree:
     children: dict[str, tuple[str, ...]]
     canonical_level: dict[str, int]
     depth: dict[str, int]
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.nodes
-
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.nodes))
 
 
 def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> TenantTree:

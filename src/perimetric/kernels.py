@@ -4,28 +4,24 @@ These run on a flat row-major matrix and serve the inputs that have no
 closed form and the test oracles. build_matrix calls a distance once per
 pair; check_ultrametricity skips it for a DistanceModel (raw-tree and
 family-infimum distances), which fills an integer matrix itself
-(DistanceModel.matrix). All tenant distances are exact dyadic rationals
-with denominator at most 2**21, so the tour kernels rescale a matrix to
-plain integers when they can and compare those; values that do not scale
-exactly (arbitrary rationals, say) are used as given. violations_flat
-compares the values it is given; check_ultrametricity rescales a built
-matrix once before the scan. Either way results are exact.
+(DistanceModel.matrix). Every matrix a kernel sees holds plain integers
+over one exact unit: try_scale turns int and Fraction distances into
+integers over lcm(SCALE, every denominator), which is SCALE (2**21) for
+the dyadic distances of a tenant. Callers turn a result back into a
+Fraction over that unit, so every result is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Callable, Sequence, TypeVar
 
 BACKEND = "pure-python"
 
 SCALE_BITS = 21
 SCALE = 1 << SCALE_BITS
-
-# Keep scaled entries comfortably inside int64: a 2000-point tour of values
-# below 2**40 sums below 2**51.
-_SCALED_LIMIT = 1 << 40
 
 T = TypeVar("T")
 
@@ -45,32 +41,23 @@ def build_matrix(items: Sequence[T], dist: Callable[[T, T], object]) -> list:
     return flat
 
 
-def try_scale(values: Sequence[object]) -> list[int] | None:
-    """Rescale values to integers in units of 2**-21, or None if inexact."""
-    out = []
+def try_scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
+    """The values as integers over one exact unit, and that unit.
+
+    The unit is the lcm of SCALE and every value's denominator, so values
+    with denominators dividing 2**21 give unit == SCALE. Only int and
+    Fraction values are accepted; anything else raises TypeError.
+    """
+    unit = SCALE
     for value in values:
-        if isinstance(value, int):
-            scaled = value << SCALE_BITS
-        else:
-            try:
-                frac = value if isinstance(value, Fraction) else Fraction(value)
-            except (TypeError, ValueError):
-                return None
-            num = frac.numerator << SCALE_BITS
-            scaled, rem = divmod(num, frac.denominator)
-            if rem:
-                return None
-        if not -_SCALED_LIMIT < scaled < _SCALED_LIMIT:
-            return None
-        out.append(scaled)
-    return out
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"distance {value!r} is not an int or a Fraction")
+        if unit % value.denominator:
+            unit = lcm(unit, value.denominator)
+    return [value.numerator * (unit // value.denominator) for value in values], unit
 
 
-def _exact(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _nn_tour(dist: Sequence, n: int, start: int) -> tuple[list[int], object]:
+def nn_tour_flat(flat: Sequence[int], n: int, start: int) -> tuple[tuple[int, ...], int]:
     """Greedy nearest-unvisited cycle from `start`; ties go to the lowest index.
 
     Returns (order, length) where order lists n+1 indices with the start
@@ -88,59 +75,43 @@ def _nn_tour(dist: Sequence, n: int, start: int) -> tuple[list[int], object]:
     for _ in range(n - 1):
         row = cur * n
         best = -1
-        best_d = None
+        best_d = 0
         for j in range(n):
             if not seen[j]:
-                d = dist[row + j]
+                d = flat[row + j]
                 if best < 0 or d < best_d:
                     best = j
                     best_d = d
         seen[best] = True
         order.append(best)
-        total = total + best_d
+        total += best_d
         cur = best
-    total = total + dist[cur * n + start]
+    total += flat[cur * n + start]
     order.append(start)
-    return order, total
+    return tuple(order), total
 
 
-def _brute_force(dist: Sequence, n: int) -> object:
+def brute_force_flat(flat: Sequence[int], n: int) -> int:
     """Exact minimum cyclic tour length with index 0 fixed first."""
     if n <= 0:
         raise ValueError("empty matrix")
     if n == 1:
-        return dist[0]
+        return flat[0]
     best = None
     for perm in permutations(range(1, n)):
-        total = dist[perm[0]]
+        total = flat[perm[0]]
         prev = perm[0]
         for nxt in perm[1:]:
-            total = total + dist[prev * n + nxt]
+            total += flat[prev * n + nxt]
             prev = nxt
-        total = total + dist[prev * n]
+        total += flat[prev * n]
         if best is None or total < best:
             best = total
     return best
 
 
-def nn_tour_flat(flat: Sequence, n: int, start: int) -> tuple[tuple[int, ...], Fraction]:
-    scaled = try_scale(flat)
-    if scaled is not None:
-        order, total = _nn_tour(scaled, n, start)
-        return tuple(order), Fraction(total, SCALE)
-    order, total = _nn_tour(flat, n, start)
-    return tuple(order), _exact(total)
-
-
-def brute_force_flat(flat: Sequence, n: int) -> Fraction:
-    scaled = try_scale(flat)
-    if scaled is not None:
-        return Fraction(_brute_force(scaled, n), SCALE)
-    return _exact(_brute_force(flat, n))
-
-
-def violations_flat(flat: Sequence, n: int, cap: int) -> list[tuple[int, int, int]]:
-    """Strong-triangle-inequality violations of a symmetric flat matrix.
+def violations_flat(flat: Sequence[int], n: int, cap: int) -> list[tuple[int, int, int]]:
+    """Strong-triangle-inequality violations of a symmetric integer flat matrix.
 
     A triple (i, j, k) with i < k is reported when d[i,k] > max(d[i,j], d[j,k]);
     mirror images are not repeated. Emission order is (i, k, j) ascending,
@@ -150,8 +121,7 @@ def violations_flat(flat: Sequence, n: int, cap: int) -> list[tuple[int, int, in
     d[i,j] < t, so the violating j of a pair (i, k) are the set bits of
     below(d[i,k], i) & below(d[i,k], k); i and k themselves never qualify,
     since d[i,k] is not below itself. Bitsets are built on first use, so a
-    scan that stops at the cap builds only the rows it reached. Values are
-    compared as given: integers compare much faster than Fractions.
+    scan that stops at the cap builds only the rows it reached.
     """
     if cap <= 0:
         return []

@@ -369,13 +369,13 @@ def check_ultrametricity(
     The path is chosen by the type of dist. A DistanceModel (one tree, or a
     family's infimum) fills an integer matrix itself (DistanceModel.matrix)
     and is never called per pair. Any other callable is called once per
-    pair (kernels.build_matrix), and that matrix is rescaled to integers
-    once when it is exactly dyadic; this is the oracle the integer path is
-    tested against. The matrix holds n * n cells, and a scan that finds
-    nothing ANDs two n-bit rows for every pair: a clean 1000-grant
-    principal over three trees takes about 0.5 s and 2000 grants about
-    2 s, so keep it at or below 2000. Any other callable costs several
-    times that.
+    pair (kernels.build_matrix), and kernels.try_scale turns that matrix
+    into integers over one exact unit; this is the oracle the integer
+    path is tested against. Either way the scan compares integers. The
+    matrix holds n * n cells, and a scan that finds nothing ANDs two
+    n-bit rows for every pair: a clean 1000-grant principal over three
+    trees takes about 0.5 s and 2000 grants about 2 s, so keep it at or
+    below 2000. Any other callable costs several times that.
     """
     n = len(points)
     if n < 3:
@@ -383,8 +383,5 @@ def check_ultrametricity(
     if isinstance(dist, DistanceModel):
         flat = dist.matrix(points)
     else:
-        flat = kernels.build_matrix(points, dist)
-        scaled = kernels.try_scale(flat)
-        if scaled is not None:
-            flat = scaled
+        flat = kernels.try_scale(kernels.build_matrix(points, dist))[0]
     return kernels.violations_flat(flat, n, limit)

@@ -7,16 +7,17 @@ tour crosses the top merge once per block and every other merge one time
 fewer than it has blocks. Any other distance callable goes through the
 pairwise matrix and the greedy nearest-neighbor tour, which attains the
 minimum on ultrametric distances; that path, and the exhaustive oracle,
-are what the tests check the closed form against. Inside, lengths are
-integers over one denominator per record (2**21 on the closed form);
-PrincipalRisk's properties turn them into exact Fractions.
+are what the tests check the closed form against. That matrix holds
+integers over one exact unit (kernels.try_scale): 2**21 for dyadic
+distances, as on the closed form. Lengths stay integers over that unit
+inside; PrincipalRisk's properties and Tour.length are exact Fractions
+built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Sequence
 
 from perimetric import kernels
@@ -122,9 +123,9 @@ def nn_tour(grants: Sequence[Grant], dist: DistFn, start: int = 0) -> Tour:
         raise EmptyInput("nn_tour needs at least one grant")
     if not 0 <= start < n:
         raise EmptyInput(f"start index {start} out of range for {n} grants")
-    flat = kernels.build_matrix(grants, dist)
+    flat, unit = kernels.try_scale(kernels.build_matrix(grants, dist))
     order, length = kernels.nn_tour_flat(flat, n, start)
-    return Tour(order=order, length=length)
+    return Tour(order=order, length=Fraction(length, unit))
 
 
 def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
@@ -137,8 +138,8 @@ def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
         raise EmptyInput("brute_force_tour needs at least one grant")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{n} grants exceed the exhaustive limit of {BRUTE_FORCE_LIMIT}")
-    flat = kernels.build_matrix(grants, dist)
-    return kernels.brute_force_flat(flat, n)
+    flat, unit = kernels.try_scale(kernels.build_matrix(grants, dist))
+    return Fraction(kernels.brute_force_flat(flat, n), unit)
 
 
 def perimeter(grants: Iterable[Grant], dist: DistFn) -> Fraction:
@@ -198,12 +199,12 @@ def _dendrogram_geometry(merges: list[tuple[int, tuple[int, ...]]]) -> tuple[int
 def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[int, int, int, int]:
     """Radius, nearest-neighbor tour length from index 0, pair sum and their unit.
 
-    The unit is the lcm of kernels.SCALE and every distance's denominator, so
-    dyadic distances give the closed form's record and any rational stays exact.
+    All four are read off the matrix as kernels.try_scale returns it:
+    integers over one exact unit, so dyadic distances give the closed
+    form's record and any rational stays exact.
     """
     n = len(items)
-    flat = kernels.build_matrix(items, dist)
-    values = [Fraction(flat[i * n + j]) for i in range(n) for j in range(i + 1, n)]
-    unit = lcm(kernels.SCALE, *(value.denominator for value in values))
+    flat, unit = kernels.try_scale(kernels.build_matrix(items, dist))
     _, length = kernels.nn_tour_flat(flat, n, 0)
-    return int(max(values) * unit), int(length * unit), int(sum(values) * unit), unit
+    radius = max(max(flat[i * n + i + 1 : i * n + n]) for i in range(n - 1))
+    return radius, length, sum(flat) // 2, unit

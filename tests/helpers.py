@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from perimetric import kernels
 from perimetric.errors import UnbandableRadius, UnknownPrincipal
@@ -150,6 +151,32 @@ def triple_violations_cubic(flat: list, n: int, cap: int) -> list[tuple[int, int
     return found
 
 
+def fraction_nn_tour(flat: list, n: int, start: int) -> tuple[tuple[int, ...], Fraction]:
+    """Oracle for kernels.nn_tour_flat: the greedy nearest-unvisited cycle on
+    the values as given (ties to the lowest index), its length a Fraction."""
+    seen = {start}
+    order = [start]
+    total = Fraction(0)
+    cur = start
+    for _ in range(n - 1):
+        best = min((j for j in range(n) if j not in seen), key=lambda j: (flat[cur * n + j], j))
+        seen.add(best)
+        order.append(best)
+        total += flat[cur * n + best]
+        cur = best
+    order.append(start)
+    return tuple(order), total + flat[cur * n + start]
+
+
+def fraction_brute_force(flat: list, n: int) -> Fraction:
+    """Oracle for kernels.brute_force_flat: the minimum over every cyclic order
+    with index 0 first, summed on the values as given."""
+    return min(
+        sum((flat[a * n + b] for a, b in zip((0, *perm), (*perm, 0))), Fraction(0))
+        for perm in permutations(range(1, n))
+    )
+
+
 @dataclass(frozen=True)
 class FractionRisk:
     """Oracle record: PrincipalRisk's public figures, each stored as a Fraction."""
@@ -180,7 +207,7 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
     else:
         flat = kernels.build_matrix(items, dist)
         values = [Fraction(flat[i * n + j]) for i in range(n) for j in range(i + 1, n)]
-        _, length = kernels.nn_tour_flat(flat, n, 0)
+        _, length = fraction_nn_tour(flat, n, 0)
         radius, mean = max(values), sum(values, Fraction(0)) / len(values)
     ultracycle = radius if radius > 0 and mean == radius else None
     return FractionRisk(spn, n, radius, length, mean, spread_ratio(n, length, mean), ultracycle)

@@ -3,7 +3,8 @@
 assess_principal reads an EffectiveDistance through its dendrogram; the
 matrix path (any other callable) and the exhaustive tour are the
 references. The integer record, its ranking, banding and rendering are
-checked against the Fraction arithmetic they replace.
+checked against the Fraction arithmetic they replace, and the integer
+tour kernels, on tables of any rational unit, against Fraction loops.
 check_ultrametricity's bitset scan is checked against the plain cubic
 loop, DistanceModel's integer matrix against the Fraction matrix of
 per-pair calls, raw_violates against a full triple scan of the raw
@@ -12,6 +13,8 @@ distances, and infimum_distance against the minimum over the family.
 
 import random
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +36,14 @@ from perimetric.metric import (
     infimum_distance,
     raw_violates,
 )
-from perimetric.perimeter import BRUTE_FORCE_LIMIT, assess_principal, brute_force_tour, sorted_grants
+from perimetric.perimeter import (
+    BRUTE_FORCE_LIMIT,
+    Tour,
+    assess_principal,
+    brute_force_tour,
+    nn_tour,
+    sorted_grants,
+)
 from perimetric.ranking import band_of, enumerate_bands, rank_spns
 from perimetric.render import format_fixed, fraction_str
 
@@ -42,6 +52,8 @@ from helpers import (
     chain_tree,
     format_fixed_fraction,
     fraction_assess,
+    fraction_brute_force,
+    fraction_nn_tour,
     fraction_rank,
     triple_violations_cubic,
 )
@@ -203,6 +215,56 @@ def test_non_dyadic_table_stays_exact():
         band_of(thirds_risk.radius, bands, thirds_risk.unit)
 
 
+# Distances of every kind the matrix path scales to one unit: dyadics down to
+# 2**-21, thirds, fifths and sevenths, plain ints, and ints of 2**40 and above.
+_TABLE_VALUES = st.one_of(
+    st.builds(Fraction, st.integers(0, 2**22), st.sampled_from([2**e for e in range(22)])),
+    st.builds(Fraction, st.integers(0, 30), st.sampled_from([3, 5, 7])),
+    st.integers(0, 100),
+    st.integers(2**40, 2**64),
+)
+
+
+@st.composite
+def symmetric_tables(draw):
+    """n in 1..8 points and a symmetric distance table over them, with ties.
+
+    Each cell is drawn from a small palette, so equal distances (tie-breaks)
+    and all-equal tables (ultracycles) come up often.
+    """
+    n = draw(st.integers(1, 8))
+    palette = draw(st.lists(_TABLE_VALUES, min_size=1, max_size=5))
+    table = {frozenset((i, j)): draw(st.sampled_from(palette)) for i in range(n) for j in range(i + 1, n)}
+    return n, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_tables())
+def test_integer_kernels_match_fraction_oracles(case):
+    n, table = case
+    points = list(range(n))
+    dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
+    flat = kernels.build_matrix(points, dist)
+    for start in points:
+        assert nn_tour(points, dist, start) == Tour(*fraction_nn_tour(flat, n, start))
+    assert brute_force_tour(points, dist) == fraction_brute_force(flat, n)
+    for cap in (1, 7, 100):
+        assert check_ultrametricity(points, dist, limit=cap) == triple_violations_cubic(flat, n, cap)
+    risk = assess_principal("t", points, dist)
+    oracle = fraction_assess("t", points, dist)
+    for field in _PUBLIC_FIELDS:
+        assert getattr(risk, field) == getattr(oracle, field), field
+    assert risk.unit == lcm(kernels.SCALE, *(Fraction(v).denominator for v in table.values()))
+    float_dist = lambda a, b: float(dist(a, b))  # noqa: E731
+    if n >= 2:
+        for call in (nn_tour, brute_force_tour, partial(assess_principal, "t")):
+            with pytest.raises(TypeError):
+                call(points, float_dist)
+    if n >= 3:
+        with pytest.raises(TypeError):
+            check_ultrametricity(points, float_dist)
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.integers(0, 10**12),
@@ -256,7 +318,7 @@ def distance_models(draw):
 @given(distance_models())
 def test_integer_path_matches_per_pair_calls(case):
     dist, grants = case
-    assert dist.matrix(grants) == kernels.try_scale(kernels.build_matrix(grants, dist))
+    assert (dist.matrix(grants), kernels.SCALE) == kernels.try_scale(kernels.build_matrix(grants, dist))
     # a plain callable is not a DistanceModel, so it takes the generic path
     for cap in (1, 7, 100):
         assert check_ultrametricity(grants, dist, limit=cap) == check_ultrametricity(

@@ -145,12 +145,39 @@ def test_round_trip_is_byte_identical():
             {"principal": "svc-a", "action": "ReadBlob", "access": "read", "scope": "sub"},
         ],
     })
+    for document in (messy, *(_nested_group_chains(seed) for seed in range(3))):
+        snapshot = parse_snapshot(document)
+        text = serialize_snapshot(snapshot)
+        assert parse_snapshot(text) == snapshot
+        assert serialize_snapshot(parse_snapshot(text)) == text
     snapshot = parse_snapshot(messy)
-    text = serialize_snapshot(snapshot)
-    assert parse_snapshot(text) == snapshot
-    assert serialize_snapshot(parse_snapshot(text)) == text
     assert snapshot.spns == ("svc-a", "svc-b")
     assert len(snapshot.assignments) == 2  # exact duplicate collapsed
+
+
+def _nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:
+    """A generated snapshot's document with groups nested in chains.
+
+    grp-c-d is a member of grp-c-(d-1); every group holds one grant and
+    every SPN sits in one group. Groups are listed deepest first and the
+    SPNs in reverse, so parsing has to reorder both.
+    """
+    doc = json.loads(serialize_snapshot(generate_synthetic_tenant(
+        GeneratorConfig(seed=seed, tight_spns=2, dispersed_spns=2, mixed_spns=2)
+    )))
+    scopes = [node["id"] for node in doc["hierarchy"]]
+    groups = []
+    for c in range(chains):
+        for d in range(depth):
+            gid = f"grp-{c}-{d}"
+            groups.append({"id": gid, "members": [f"grp-{c}-{d + 1}"] if d + 1 < depth else []})
+            scope = scopes[(c + d) % len(scopes)]
+            doc["assignments"].append({"principal": gid, "action": "ReadBlob", "access": "read", "scope": scope})
+    for i, spn in enumerate(doc["spns"]):
+        groups[i % len(groups)]["members"].append(spn)
+    doc["groups"] = groups[::-1]
+    doc["spns"] = doc["spns"][::-1]
+    return json.dumps(doc)
 
 
 def test_resolve_direct_only():

@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
+
 from perimetric import kernels
 from perimetric.metric import AccessClass, DistanceModel, Grant, HierarchyFamily, check_ultrametricity
-from perimetric.perimeter import perimeter
+from perimetric.perimeter import Tour, brute_force_tour, nn_tour, perimeter
 
 from helpers import chain_tree
 
@@ -62,26 +64,29 @@ def test_nn_tour_tie_break_prefers_lowest_index():
 
 def test_try_scale_dyadic_values():
     scaled = kernels.try_scale([Fraction(1, 2), 1, 0, Fraction(1, 2**21)])
-    assert scaled == [2**20, 2**21, 0, 1]
-    assert kernels.try_scale([Fraction(1, 3)]) is None
-    assert kernels.try_scale([float("nan")]) is None
-    assert kernels.try_scale([1 << 45]) is None
+    assert scaled == ([2**20, 2**21, 0, 1], kernels.SCALE)
+    assert kernels.try_scale([Fraction(1, 3)]) == ([2**21], 3 * 2**21)
+    assert kernels.try_scale([1 << 45]) == ([1 << 66], kernels.SCALE)
+    with pytest.raises(TypeError):
+        kernels.try_scale([float("nan")])
 
 
-def test_kernels_fall_back_on_non_dyadic_values():
-    # 1/3 is not dyadic: the kernels run on the values as given and stay exact
+def test_kernels_stay_exact_on_non_dyadic_values():
+    # 1/3 is not dyadic: the unit grows to 3 * 2**21 and the kernels stay exact
     third = Fraction(1, 3)
-    flat = [0 if i == j else third for i in range(3) for j in range(3)]
-    order, length = kernels.nn_tour_flat(flat, 3, 0)
-    assert order == (0, 1, 2, 0)
-    assert length == 1
-    assert kernels.brute_force_flat(flat, 3) == 1
+    table = {frozenset(pair): third for pair in ((0, 1), (1, 2), (0, 2))}
+    dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
+    assert nn_tour([0, 1, 2], dist) == Tour((0, 1, 2, 0), Fraction(1))
+    assert brute_force_tour([0, 1, 2], dist) == 1
+    flat, unit = kernels.try_scale(kernels.build_matrix([0, 1, 2], dist))
+    assert kernels.nn_tour_flat(flat, 3, 0) == ((0, 1, 2, 0), unit)
+    assert kernels.brute_force_flat(flat, 3) == unit
     assert kernels.violations_flat(flat, 3, 100) == []
 
 
-def test_flat_wrappers_return_exact_fractions():
+def test_tour_wrappers_return_exact_fractions():
     tiny = Fraction(1, 2**21)
-    flat = [0 if i == j else tiny for i in range(4) for j in range(4)]
-    _, length = kernels.nn_tour_flat(flat, 4, 0)
-    assert length == 4 * tiny
-    assert isinstance(length, Fraction)
+    points, dist = range(4), lambda a, b: tiny
+    for length in (nn_tour(points, dist).length, brute_force_tour(points, dist)):
+        assert length == 4 * tiny
+        assert isinstance(length, Fraction)
