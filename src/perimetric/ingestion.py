@@ -18,6 +18,9 @@ A snapshot is a JSON document with these top-level keys:
 All ids are case-sensitive opaque strings. Parsing validates every cross-reference,
 rejects duplicate ids and keys, group cycles, lone surrogates and oversized numbers,
 and normalizes ordering, so parse -> serialize -> parse round-trips byte-identically.
+Validation works in bulk: a prescan decides whether the per-string surrogate
+check runs, assignments are checked as tuples in one pass, and duplicates are
+dropped in input order before one sort.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, NoReturn
 
 from perimetric.errors import (
     DuplicateId,
@@ -41,6 +45,11 @@ from perimetric.hierarchy import HierarchyNode, NodeKind, TenantTree, build_tree
 from perimetric.metric import AccessClass, Grant, HierarchyFamily
 
 SCHEMA_VERSION = 1
+_ACCESS = {access.value: access for access in AccessClass}
+_KINDS = {kind.value: kind for kind in NodeKind}
+_ASSIGNMENT_FIELDS = itemgetter("principal", "action", "access", "scope")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_RAW_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -104,20 +113,26 @@ def _expect(condition: bool, message: str) -> None:
         raise SnapshotSyntaxError(message)
 
 
-def _checked_object(pairs: list[tuple[str, object]]) -> dict:
-    """object_pairs_hook for json.loads: no key twice in one object, no lone surrogate in any text."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook for json.loads: no key twice in one object."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
         repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
         raise SnapshotSyntaxError(f"duplicate key {repeated!r}")
+    return doc
+
+
+def _checked_object(pairs: list[tuple[str, object]]) -> dict:
+    """_unique_keys, and no lone surrogate in any text of the object."""
+    doc = _unique_keys(pairs)
     for value in (*doc, *doc.values()):
         if isinstance(value, str):
             if not value.isascii():
-                _expect(not re.search(r"[\ud800-\udfff]", value), f"lone surrogate in {value!r}")
+                _expect(not _RAW_SURROGATE.search(value), f"lone surrogate in {value!r}")
         elif isinstance(value, list):
             for text in value:
                 if isinstance(text, str) and not text.isascii():
-                    _expect(not re.search(r"[\ud800-\udfff]", text), f"lone surrogate in {text!r}")
+                    _expect(not _RAW_SURROGATE.search(text), f"lone surrogate in {text!r}")
     return doc
 
 
@@ -136,18 +151,32 @@ def _list_field(doc: dict, key: str) -> list:
 def parse_snapshot(data: str | bytes) -> TenantSnapshot:
     """Parse and validate a snapshot document.
 
+    One prescan of the text decides whether the per-string lone-surrogate
+    check runs. Assignments are validated as (principal, action, access,
+    scope) tuples in one pass; duplicates are dropped in input order before
+    one sort, linear on sorted input.
+
     Raises SnapshotSyntaxError (with position) for malformed documents,
     UnsupportedSchemaVersion, DuplicateId, UnknownReference or GroupCycle
     for documents that are well-formed but inconsistent, and the
-    hierarchy errors for invalid trees.
+    hierarchy errors for invalid trees: the first error in document order,
+    checking hierarchy, spns, groups, assignments, then alternates.
     """
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SnapshotSyntaxError(f"input is not valid UTF-8 (byte offset {exc.start})") from None
+        raw_surrogate = None
+    else:
+        raw_surrogate = not data.isascii() and _RAW_SURROGATE.search(data)
+    # A lone surrogate needs a raw one in str input (strict UTF-8 rejects an
+    # encoded one) or a \uD800-\uDFFF escape. The substring test is cheaper than
+    # the regex; a false hit, such as an escaped backslash before "ud800", only
+    # costs the per-object check.
+    suspect = raw_surrogate or ("\\u" in data and _SURROGATE_ESCAPE.search(data))
     try:
-        doc = json.loads(data, object_pairs_hook=_checked_object)
+        doc = json.loads(data, object_pairs_hook=_checked_object if suspect else _unique_keys)
     except json.JSONDecodeError as exc:
         raise SnapshotSyntaxError(exc.msg, exc.lineno, exc.colno) from None
     except ValueError:  # an integer literal past the int-to-str digit limit
@@ -171,10 +200,9 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         _expect(isinstance(entry, dict), "hierarchy entries must be objects")
         node_id = _string_field(entry, "id", "hierarchy")
         kind_name = _string_field(entry, "kind", f"node {node_id!r}")
-        try:
-            kind = NodeKind(kind_name)
-        except ValueError:
-            raise SnapshotSyntaxError(f"node {node_id!r}: unknown kind {kind_name!r}") from None
+        kind = _KINDS.get(kind_name)
+        if kind is None:
+            raise SnapshotSyntaxError(f"node {node_id!r}: unknown kind {kind_name!r}")
         parent = entry.get("parent")
         _expect(
             parent is None or (isinstance(parent, str) and parent != ""),
@@ -193,14 +221,12 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         spns.append(spn)
 
     groups = []
-    group_ids: set[str] = set()
     for entry in _list_field(doc, "groups"):
         _expect(isinstance(entry, dict), "group entries must be objects")
         group_id = _string_field(entry, "id", "groups")
         if group_id in seen_principals:
             raise DuplicateId(f"principal id {group_id!r} declared twice")
         seen_principals.add(group_id)
-        group_ids.add(group_id)
         members = entry.get("members", [])
         _expect(isinstance(members, list), f"group {group_id!r}: 'members' must be a list")
         for member in members:
@@ -216,24 +242,18 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
                 raise UnknownReference(f"group {group.id!r} member {member!r} is not declared")
     _check_groups_acyclic(groups)
 
-    assignments = []
-    for entry in _list_field(doc, "assignments"):
-        _expect(isinstance(entry, dict), "assignment entries must be objects")
-        principal = _string_field(entry, "principal", "assignments")
-        action = _string_field(entry, "action", f"assignment for {principal!r}")
-        access_name = _string_field(entry, "access", f"assignment for {principal!r}")
-        try:
-            access = AccessClass(access_name)
-        except ValueError:
-            raise SnapshotSyntaxError(
-                f"assignment for {principal!r}: access must be 'read' or 'write', got {access_name!r}"
-            ) from None
-        scope = _string_field(entry, "scope", f"assignment for {principal!r}")
-        if principal not in seen_principals:
-            raise UnknownReference(f"assignment principal {principal!r} is not declared")
-        if scope not in tree.nodes:
-            raise UnknownReference(f"assignment scope {scope!r} is not in the hierarchy")
-        assignments.append(Assignment(principal=principal, action=action, access=access, scope=scope))
+    raw_assignments = _list_field(doc, "assignments")
+    try:
+        rows = list(map(_ASSIGNMENT_FIELDS, raw_assignments))
+    except (KeyError, TypeError):  # an entry that lacks a field or is not an object
+        _reject_assignments(raw_assignments, seen_principals, tree)
+    # type(x) is str comes first: a JSON list or object in a set lookup raises TypeError
+    for principal, action, access, scope in rows:
+        if not (
+            type(principal) is str and type(action) is str and type(access) is str and type(scope) is str
+            and action and principal in seen_principals and access in _ACCESS and scope in tree.nodes
+        ):
+            _reject_assignments(raw_assignments, seen_principals, tree)
 
     alternates = []
     alternate_names: set[str] = set()
@@ -258,22 +278,42 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
             AlternateHierarchy(name=name, parents=tuple(sorted(parents.items())))
         )
 
+    del doc, raw_assignments  # free the decoded entries before the Assignments are built
     snapshot = TenantSnapshot(
         version=version,
         hierarchy=tuple(sorted(nodes, key=lambda n: n.id)),
         alternates=tuple(sorted(alternates, key=lambda a: a.name)),
         groups=tuple(sorted(groups, key=lambda g: g.id)),
         spns=tuple(sorted(spns)),
+        # string tuples sort as (principal, action, access.value, scope) does
         assignments=tuple(
-            sorted(
-                set(assignments),
-                key=lambda a: (a.principal, a.action, a.access.value, a.scope),
-            )
+            Assignment(principal, action, _ACCESS[access], scope)
+            for principal, action, access, scope in sorted(dict.fromkeys(rows))
         ),
     )
     # cached_property reads the instance dict: seed it with the validated trees
     vars(snapshot)["_family"] = snapshot._family_over(tree)
     return snapshot
+
+
+def _reject_assignments(entries: list, principals: set[str], tree: TenantTree) -> NoReturn:
+    """Raise the error of the first invalid assignment entry, checking each
+    field in turn; called only once a bulk check has found one."""
+    for entry in entries:
+        _expect(isinstance(entry, dict), "assignment entries must be objects")
+        principal = _string_field(entry, "principal", "assignments")
+        action = _string_field(entry, "action", f"assignment for {principal!r}")
+        access = _string_field(entry, "access", f"assignment for {principal!r}")
+        _expect(
+            access in _ACCESS,
+            f"assignment for {principal!r}: access must be 'read' or 'write', got {access!r}",
+        )
+        scope = _string_field(entry, "scope", f"assignment for {principal!r}")
+        if principal not in principals:
+            raise UnknownReference(f"assignment principal {principal!r} is not declared")
+        if scope not in tree.nodes:
+            raise UnknownReference(f"assignment scope {scope!r} is not in the hierarchy")
+    raise AssertionError("no invalid assignment entry")
 
 
 def serialize_snapshot(snapshot: TenantSnapshot) -> str:

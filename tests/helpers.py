@@ -2,13 +2,26 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
+from hypothesis import strategies as st
+
 from perimetric import kernels
-from perimetric.errors import UnbandableRadius, UnknownPrincipal
+from perimetric.errors import (
+    DuplicateId,
+    SnapshotSyntaxError,
+    UnbandableRadius,
+    UnknownPrincipal,
+    UnknownReference,
+    UnsupportedSchemaVersion,
+)
+from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.hierarchy import (
     MAX_MG_DEPTH,
     HierarchyNode,
@@ -16,7 +29,15 @@ from perimetric.hierarchy import (
     TenantTree,
     build_tree,
 )
-from perimetric.ingestion import TenantSnapshot
+from perimetric.ingestion import (
+    SCHEMA_VERSION,
+    AlternateHierarchy,
+    Assignment,
+    Group,
+    TenantSnapshot,
+    _check_groups_acyclic,
+    serialize_snapshot,
+)
 from perimetric.metric import AccessClass, DistanceModel, EffectiveDistance, Grant
 from perimetric.perimeter import sorted_grants, spread_ratio
 
@@ -237,3 +258,251 @@ def format_fixed_fraction(value, digits: int = 6) -> str:
         q += 1
     whole, part = divmod(q, 10**digits)
     return f"{whole}.{part:0{digits}d}"
+
+
+def nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:
+    """A generated snapshot's document with groups nested in chains.
+
+    grp-c-d is a member of grp-c-(d-1); every group holds one grant and
+    every SPN sits in one group. Groups are listed deepest first and the
+    SPNs in reverse, so parsing has to reorder both.
+    """
+    doc = json.loads(serialize_snapshot(generate_synthetic_tenant(
+        GeneratorConfig(seed=seed, tight_spns=2, dispersed_spns=2, mixed_spns=2)
+    )))
+    scopes = [node["id"] for node in doc["hierarchy"]]
+    groups = []
+    for c in range(chains):
+        for d in range(depth):
+            gid = f"grp-{c}-{d}"
+            groups.append({"id": gid, "members": [f"grp-{c}-{d + 1}"] if d + 1 < depth else []})
+            scope = scopes[(c + d) % len(scopes)]
+            doc["assignments"].append({"principal": gid, "action": "ReadBlob", "access": "read", "scope": scope})
+    for i, spn in enumerate(doc["spns"]):
+        groups[i % len(groups)]["members"].append(spn)
+    doc["groups"] = groups[::-1]
+    doc["spns"] = doc["spns"][::-1]
+    return json.dumps(doc)
+
+
+# Oracle for ingestion.parse_snapshot: the per-field validation loop that the
+# columnar parse replaced, with its surrogate check run on every object.
+
+
+def _oracle_expect(condition: bool, message: str) -> None:
+    if not condition:
+        raise SnapshotSyntaxError(message)
+
+
+def _oracle_checked_object(pairs: list[tuple[str, object]]) -> dict:
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        repeated = next(key for key, count in Counter(key for key, _ in pairs).items() if count > 1)
+        raise SnapshotSyntaxError(f"duplicate key {repeated!r}")
+    for value in (*doc, *doc.values()):
+        if isinstance(value, str):
+            if not value.isascii():
+                _oracle_expect(not re.search(r"[\ud800-\udfff]", value), f"lone surrogate in {value!r}")
+        elif isinstance(value, list):
+            for text in value:
+                if isinstance(text, str) and not text.isascii():
+                    _oracle_expect(not re.search(r"[\ud800-\udfff]", text), f"lone surrogate in {text!r}")
+    return doc
+
+
+def _oracle_string_field(entry: dict, key: str, where: str) -> str:
+    value = entry.get(key)
+    _oracle_expect(isinstance(value, str) and value != "", f"{where}: {key!r} must be a non-empty string")
+    return value
+
+
+def _oracle_list_field(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    _oracle_expect(isinstance(value, list), f"{key!r} must be a list")
+    return value
+
+
+def parse_snapshot_oracle(data: str | bytes) -> TenantSnapshot:
+    """Oracle for ingestion.parse_snapshot: validate every field of every
+    entry in turn, and deduplicate frozen Assignments through a set."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SnapshotSyntaxError(f"input is not valid UTF-8 (byte offset {exc.start})") from None
+    try:
+        doc = json.loads(data, object_pairs_hook=_oracle_checked_object)
+    except json.JSONDecodeError as exc:
+        raise SnapshotSyntaxError(exc.msg, exc.lineno, exc.colno) from None
+    except ValueError:
+        raise SnapshotSyntaxError("number has too many digits") from None
+    except RecursionError:
+        raise SnapshotSyntaxError("document is nested too deeply") from None
+
+    _oracle_expect(isinstance(doc, dict), "top level must be an object")
+    version = doc.get("version")
+    _oracle_expect(
+        isinstance(version, int) and not isinstance(version, bool),
+        "'version' must be an integer",
+    )
+    if version != SCHEMA_VERSION:
+        raise UnsupportedSchemaVersion(f"schema version {version} (supported: {SCHEMA_VERSION})")
+
+    raw_hierarchy = doc.get("hierarchy")
+    _oracle_expect(isinstance(raw_hierarchy, list) and raw_hierarchy, "'hierarchy' must be a non-empty list")
+    nodes = []
+    for entry in raw_hierarchy:
+        _oracle_expect(isinstance(entry, dict), "hierarchy entries must be objects")
+        node_id = _oracle_string_field(entry, "id", "hierarchy")
+        kind_name = _oracle_string_field(entry, "kind", f"node {node_id!r}")
+        try:
+            kind = NodeKind(kind_name)
+        except ValueError:
+            raise SnapshotSyntaxError(f"node {node_id!r}: unknown kind {kind_name!r}") from None
+        parent = entry.get("parent")
+        _oracle_expect(
+            parent is None or (isinstance(parent, str) and parent != ""),
+            f"node {node_id!r}: 'parent' must be a non-empty string when present",
+        )
+        nodes.append(HierarchyNode(id=node_id, kind=kind, parent=parent))
+    tree = build_tree(nodes)
+
+    spns = []
+    seen_principals: set[str] = set()
+    for spn in _oracle_list_field(doc, "spns"):
+        _oracle_expect(isinstance(spn, str) and spn != "", "'spns' entries must be non-empty strings")
+        if spn in seen_principals:
+            raise DuplicateId(f"spn {spn!r} declared twice")
+        seen_principals.add(spn)
+        spns.append(spn)
+
+    groups = []
+    for entry in _oracle_list_field(doc, "groups"):
+        _oracle_expect(isinstance(entry, dict), "group entries must be objects")
+        group_id = _oracle_string_field(entry, "id", "groups")
+        if group_id in seen_principals:
+            raise DuplicateId(f"principal id {group_id!r} declared twice")
+        seen_principals.add(group_id)
+        members = entry.get("members", [])
+        _oracle_expect(isinstance(members, list), f"group {group_id!r}: 'members' must be a list")
+        for member in members:
+            _oracle_expect(
+                isinstance(member, str) and member != "",
+                f"group {group_id!r}: members must be non-empty strings",
+            )
+        groups.append(Group(id=group_id, members=tuple(sorted(set(members)))))
+
+    for group in groups:
+        for member in group.members:
+            if member not in seen_principals:
+                raise UnknownReference(f"group {group.id!r} member {member!r} is not declared")
+    _check_groups_acyclic(groups)
+
+    assignments = []
+    for entry in _oracle_list_field(doc, "assignments"):
+        _oracle_expect(isinstance(entry, dict), "assignment entries must be objects")
+        principal = _oracle_string_field(entry, "principal", "assignments")
+        action = _oracle_string_field(entry, "action", f"assignment for {principal!r}")
+        access_name = _oracle_string_field(entry, "access", f"assignment for {principal!r}")
+        try:
+            access = AccessClass(access_name)
+        except ValueError:
+            raise SnapshotSyntaxError(
+                f"assignment for {principal!r}: access must be 'read' or 'write', got {access_name!r}"
+            ) from None
+        scope = _oracle_string_field(entry, "scope", f"assignment for {principal!r}")
+        if principal not in seen_principals:
+            raise UnknownReference(f"assignment principal {principal!r} is not declared")
+        if scope not in tree.nodes:
+            raise UnknownReference(f"assignment scope {scope!r} is not in the hierarchy")
+        assignments.append(Assignment(principal=principal, action=action, access=access, scope=scope))
+
+    alternates = []
+    alternate_names: set[str] = set()
+    for entry in _oracle_list_field(doc, "alternates"):
+        _oracle_expect(isinstance(entry, dict), "alternate entries must be objects")
+        name = _oracle_string_field(entry, "name", "alternates")
+        if name in alternate_names:
+            raise DuplicateId(f"alternate hierarchy {name!r} declared twice")
+        alternate_names.add(name)
+        parents = entry.get("parents", {})
+        _oracle_expect(isinstance(parents, dict), f"alternate {name!r}: 'parents' must be an object")
+        for child, parent in parents.items():
+            _oracle_expect(
+                isinstance(parent, str) and parent != "",
+                f"alternate {name!r}: parent of {child!r} must be a node id",
+            )
+            if child not in tree.nodes:
+                raise UnknownReference(f"alternate {name!r} re-parents unknown node {child!r}")
+            if parent not in tree.nodes:
+                raise UnknownReference(f"alternate {name!r} names unknown parent {parent!r}")
+        alternates.append(AlternateHierarchy(name=name, parents=tuple(sorted(parents.items()))))
+
+    snapshot = TenantSnapshot(
+        version=version,
+        hierarchy=tuple(sorted(nodes, key=lambda n: n.id)),
+        alternates=tuple(sorted(alternates, key=lambda a: a.name)),
+        groups=tuple(sorted(groups, key=lambda g: g.id)),
+        spns=tuple(sorted(spns)),
+        assignments=tuple(
+            sorted(set(assignments), key=lambda a: (a.principal, a.action, a.access.value, a.scope))
+        ),
+    )
+    vars(snapshot)["_family"] = snapshot._family_over(tree)
+    return snapshot
+
+
+# Snapshot mutators shared by the hostile-input and parse-oracle tests. Each
+# takes a hypothesis `data` object and a valid document's bytes.
+
+# Inserted as raw bytes: an unbalanced quote or brace, a JSON null, a float
+# literal past the double range and the escape of a lone surrogate.
+TOKENS = (b'"', b"{", b"null", b"1e400", b"\\ud800")
+VALUES = (None, 0, "", [], {}, True, 10**20)
+
+
+def _paths(doc, prefix=()):
+    """Every (path to a container, key or index) in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix, key
+        yield from _paths(value, (*prefix, key))
+
+
+def mutate_structure(data, text: bytes) -> bytes:
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        prefix, key = data.draw(st.sampled_from(paths))
+        parent = doc
+        for step in prefix:
+            parent = parent[step]
+        kinds = ("set", "drop", "repeat") if isinstance(parent, list) else ("set", "drop")
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "set":
+            parent[key] = data.draw(st.sampled_from(VALUES))
+        elif kind == "drop":
+            del parent[key]
+        else:
+            parent.insert(key, parent[key])
+    return json.dumps(doc).encode()
+
+
+def mutate_bytes(data, text: bytes) -> bytes:
+    buf = bytearray(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(buf)))
+        kind = data.draw(st.sampled_from(("flip", "delete", "insert", "duplicate")))
+        if kind == "flip" and at < len(buf):
+            buf[at] ^= 1 << data.draw(st.integers(0, 7))
+        elif kind == "delete":
+            del buf[at : at + data.draw(st.integers(1, 8))]
+        elif kind == "insert":
+            buf[at:at] = data.draw(st.sampled_from(TOKENS))
+        elif kind == "duplicate":
+            piece = buf[at : at + data.draw(st.integers(1, 64))]
+            where = data.draw(st.integers(0, len(buf)))
+            buf[where:where] = piece
+    return bytes(buf)

@@ -153,9 +153,13 @@ def test_scan_rejects_malformed_input():
         b'{"version": 1, "hierarchy": ' + b"[" * 100_000,
         b'{"version": 1' + b"0" * 5000 + b', "hierarchy": [{"id": "root", "kind": "tenant_root"}]}',
         b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc-\\ud800"]}',
+        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc"],'
+        b' "assignments": [{"principal": [], "action": "a", "access": "read", "scope": "root"}]}',
+        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc"],'
+        b' "assignments": [{"principal": "svc", "action": "a", "access": "read", "scope": {}}]}',
     ],
     ids=["spns-string", "spns-nan", "non-utf8", "duplicate-key", "deep-nesting", "huge-integer",
-         "lone-surrogate"],
+         "lone-surrogate", "principal-list", "scope-object"],
 )
 def test_scan_mistyped_input_exits_2_without_traceback(payload):
     result = _run_cli(["scan", "-"], input=payload, capture_output=True)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import nested_group_chains
 from perimetric.errors import (
     DuplicateId,
     GroupCycle,
@@ -111,8 +112,60 @@ def test_parse_rejects_a_lone_surrogate(overrides):
 
 
 def test_parse_keeps_an_escaped_surrogate_pair():
-    snapshot = parse_snapshot(_doc(spns=["svc-\U0001f600"]))
-    assert snapshot.spns == ("svc-\U0001f600",)
+    text = _doc(spns=["svc-\U0001f600"])
+    assert "\\ud83d\\ude00" in text
+    for document in (text, text.encode(), text.replace("\\ud83d\\ude00", "\\uD83D\\uDE00")):
+        assert parse_snapshot(document).spns == ("svc-\U0001f600",)
+
+
+def test_parse_accepts_an_escaped_backslash_before_ud800():
+    text = _doc(spns=["svc-\\ud800"])
+    assert '"svc-\\\\ud800"' in text
+    assert parse_snapshot(text).spns == ("svc-\\ud800",)
+
+
+def test_parse_rejects_a_raw_lone_surrogate_in_str_input():
+    text = json.dumps(json.loads(_doc(spns=["svc-\ud800"])), ensure_ascii=False)
+    assert "\ud800" in text
+    with pytest.raises(SnapshotSyntaxError, match="lone surrogate"):
+        parse_snapshot(text)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"principal": []}, "assignments: 'principal' must be a non-empty string"),
+        ({"scope": {}}, "assignment for 'svc-1': 'scope' must be a non-empty string"),
+    ],
+)
+def test_parse_rejects_an_unhashable_assignment_field(entry, message):
+    assignment = {"principal": "svc-1", "action": "ReadBlob", "access": "read", "scope": "sub", **entry}
+    with pytest.raises(SnapshotSyntaxError) as err:
+        parse_snapshot(_doc(assignments=[assignment]))
+    assert str(err.value) == message
+
+
+def test_parse_assignment_order_and_repeats_do_not_matter():
+    entries = [
+        {"principal": principal, "action": action, "access": access, "scope": scope}
+        for principal in ("svc-1", "svc-2")
+        for action, access in (("ReadBlob", "read"), ("WriteBlob", "write"))
+        for scope in ("root", "sub")
+    ]
+    spns = ["svc-1", "svc-2"]
+    snapshot = parse_snapshot(_doc(spns=spns, assignments=entries))
+    # entries are listed in canonical order
+    assert [(a.principal, a.action, a.access.value, a.scope) for a in snapshot.assignments] == [
+        tuple(e.values()) for e in entries
+    ]
+    for shuffled in (entries[::-1], entries + entries[::2], entries[3:] + entries[:5]):
+        assert parse_snapshot(_doc(spns=spns, assignments=shuffled)) == snapshot
+
+
+def test_parse_accepts_an_assignment_with_an_extra_key():
+    entry = {"principal": "svc-1", "action": "ReadBlob", "access": "read", "scope": "sub"}
+    snapshot = parse_snapshot(_doc(assignments=[{**entry, "note": "granted by ticket 7"}]))
+    assert snapshot == parse_snapshot(_doc(assignments=[entry]))
 
 
 def test_parse_group_cycle():
@@ -145,7 +198,7 @@ def test_round_trip_is_byte_identical():
             {"principal": "svc-a", "action": "ReadBlob", "access": "read", "scope": "sub"},
         ],
     })
-    for document in (messy, *(_nested_group_chains(seed) for seed in range(3))):
+    for document in (messy, *(nested_group_chains(seed) for seed in range(3))):
         snapshot = parse_snapshot(document)
         text = serialize_snapshot(snapshot)
         assert parse_snapshot(text) == snapshot
@@ -153,31 +206,6 @@ def test_round_trip_is_byte_identical():
     snapshot = parse_snapshot(messy)
     assert snapshot.spns == ("svc-a", "svc-b")
     assert len(snapshot.assignments) == 2  # exact duplicate collapsed
-
-
-def _nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:
-    """A generated snapshot's document with groups nested in chains.
-
-    grp-c-d is a member of grp-c-(d-1); every group holds one grant and
-    every SPN sits in one group. Groups are listed deepest first and the
-    SPNs in reverse, so parsing has to reorder both.
-    """
-    doc = json.loads(serialize_snapshot(generate_synthetic_tenant(
-        GeneratorConfig(seed=seed, tight_spns=2, dispersed_spns=2, mixed_spns=2)
-    )))
-    scopes = [node["id"] for node in doc["hierarchy"]]
-    groups = []
-    for c in range(chains):
-        for d in range(depth):
-            gid = f"grp-{c}-{d}"
-            groups.append({"id": gid, "members": [f"grp-{c}-{d + 1}"] if d + 1 < depth else []})
-            scope = scopes[(c + d) % len(scopes)]
-            doc["assignments"].append({"principal": gid, "action": "ReadBlob", "access": "read", "scope": scope})
-    for i, spn in enumerate(doc["spns"]):
-        groups[i % len(groups)]["members"].append(spn)
-    doc["groups"] = groups[::-1]
-    doc["spns"] = doc["spns"][::-1]
-    return json.dumps(doc)
 
 
 def test_resolve_direct_only():
