@@ -198,16 +198,17 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
     nodes = []
     for entry in raw_hierarchy:
         _expect(isinstance(entry, dict), "hierarchy entries must be objects")
-        node_id = _string_field(entry, "id", "hierarchy")
-        kind_name = _string_field(entry, "kind", f"node {node_id!r}")
+        node_id, kind_name, parent = entry.get("id"), entry.get("kind"), entry.get("parent")
+        # checked inline; a message is formatted, by the helper, only for a bad field
+        if not (type(node_id) is str and node_id):
+            _string_field(entry, "id", "hierarchy")
+        if not (type(kind_name) is str and kind_name):
+            _string_field(entry, "kind", f"node {node_id!r}")
         kind = _KINDS.get(kind_name)
         if kind is None:
             raise SnapshotSyntaxError(f"node {node_id!r}: unknown kind {kind_name!r}")
-        parent = entry.get("parent")
-        _expect(
-            parent is None or (isinstance(parent, str) and parent != ""),
-            f"node {node_id!r}: 'parent' must be a non-empty string when present",
-        )
+        if not (parent is None or (type(parent) is str and parent)):
+            raise SnapshotSyntaxError(f"node {node_id!r}: 'parent' must be a non-empty string when present")
         nodes.append(HierarchyNode(id=node_id, kind=kind, parent=parent))
     tree = build_tree(nodes)  # validates duplicates, kinds, cycles, MG depth
 

@@ -267,7 +267,7 @@ class EffectiveDistance:
         self._tree = tree
         self._model = model
         dirty: set[str] = set()
-        for grant in set(grants):
+        for grant in grants:  # a repeated write stops at its scope, already dirty
             if grant.scope not in tree.nodes:
                 raise UnknownNode(f"node {grant.scope!r} not in tree")
             if grant.access is AccessClass.WRITE:
@@ -295,39 +295,49 @@ class EffectiveDistance:
         grant on v, a child subtree in the dirty set). Clean blocks merge
         at read height r/2**(2L+1), then everything at v merges at write
         height w/2**(2L+1). Merges are listed bottom-up, so the last one is
-        the top merge, whose height is the diameter. Duplicate grants count
+        the top merge, whose height is the diameter. No node above the grants'
+        top block (their lowest common ancestor) is visited. The sizes inside
+        a merge follow the iteration order of `grants`. Duplicate grants count
         once; the first unknown scope, in iteration order, raises UnknownNode.
         """
         tree = self._tree
+        nodes, depth_of, level_of, raised_nodes = tree.nodes, tree.depth, tree.canonical_level, self._dirty
         read, write = self._model.read_weight, self._model.write_weight
         # node -> (size, dirty) per block, filled bottom-up one depth at a time
         blocks: dict[str, list[tuple[int, bool]]] = {}
         by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]  # depth <= level
         for grant in dict.fromkeys(grants):
-            if grant.scope not in tree.nodes:
-                raise UnknownNode(f"node {grant.scope!r} not in tree")
-            if grant.scope not in blocks:
-                blocks[grant.scope] = []
-                by_depth[tree.depth[grant.scope]].append(grant.scope)
-            blocks[grant.scope].append((1, grant.access is AccessClass.WRITE))
+            scope = grant.scope
+            here = blocks.get(scope)
+            if here is None:
+                if scope not in nodes:
+                    raise UnknownNode(f"node {scope!r} not in tree")
+                here = blocks[scope] = []
+                by_depth[depth_of[scope]].append(scope)
+            here.append((1, grant.access is AccessClass.WRITE))
         merges: list[tuple[int, tuple[int, ...]]] = []
         for depth in range(len(by_depth) - 1, -1, -1):
             for node in by_depth[depth]:
                 here = blocks.pop(node)
-                shift = kernels.SCALE_BITS - (2 * tree.canonical_level[node] + 1)
-                clean = tuple(size for size, raised in here if not raised)
-                dirty = tuple(size for size, raised in here if raised)
-                if len(clean) > 1:
-                    merges.append((read << shift, clean))
-                joined = (sum(clean),) + dirty if clean else dirty
-                if dirty and len(joined) > 1:
-                    merges.append((write << shift, joined))
-                parent = tree.nodes[node].parent
-                if parent is not None:
-                    if parent not in blocks:
-                        blocks[parent] = []
-                        by_depth[depth - 1].append(parent)
-                    blocks[parent].append((sum(joined), node in self._dirty))
+                if len(here) == 1:  # nothing merges here; the block passes up as it is
+                    size = here[0][0]
+                else:
+                    shift = kernels.SCALE_BITS - (2 * level_of[node] + 1)
+                    clean = tuple(size for size, raised in here if not raised)
+                    dirty = tuple(size for size, raised in here if raised)
+                    if len(clean) > 1:
+                        merges.append((read << shift, clean))
+                    joined = (sum(clean),) + dirty if clean else dirty
+                    if dirty:
+                        merges.append((write << shift, joined))
+                    size = sum(joined)
+                if not blocks:  # this node holds every grant
+                    return merges
+                parent = nodes[node].parent
+                if parent not in blocks:
+                    blocks[parent] = []
+                    by_depth[depth - 1].append(parent)
+                blocks[parent].append((size, node in raised_nodes))
         return merges
 
 

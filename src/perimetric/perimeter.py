@@ -4,10 +4,12 @@ The data perimeter of a grant set is the minimal cyclic tour length over
 all grants. Over the closure (EffectiveDistance) every figure follows
 from the dendrogram in closed form, with no distance matrix: a minimal
 tour crosses the top merge once per block and every other merge one time
-fewer than it has blocks. Any other distance callable goes through the
-pairwise matrix and the greedy nearest-neighbor tour, which attains the
-minimum on ultrametric distances; that path, and the exhaustive oracle,
-are what the tests check the closed form against. That matrix holds
+fewer than it has blocks. It reads the grant set in any order, since
+none of these figures depends on it. Any other distance callable goes
+through the pairwise matrix over the sorted grants (the only path that
+sorts) and the greedy nearest-neighbor tour, which attains the minimum
+on ultrametric distances; that path, and the exhaustive oracle, are
+what the tests check the closed form against. That matrix holds
 integers over one exact unit (kernels.try_scale): 2**21 for dyadic
 distances, as on the closed form. Lengths stay integers over that unit
 inside; PrincipalRisk's properties and Tour.length are exact Fractions
@@ -173,10 +175,11 @@ def is_ultracycle(grants: Iterable[Grant], dist: DistFn) -> Fraction | None:
 def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> PrincipalRisk:
     """Full risk record for one principal.
 
-    An EffectiveDistance is read through its dendrogram in closed form;
-    any other distance callable is evaluated once per pair into a matrix.
+    An EffectiveDistance is read through its dendrogram in closed form,
+    over the set of grants in any order; any other distance callable is
+    evaluated once per pair into a matrix, over the sorted grants.
     """
-    items = sorted_grants(grants)
+    items = set(grants) if isinstance(dist, EffectiveDistance) else sorted_grants(grants)
     n = len(items)
     if n <= 1:
         return PrincipalRisk(spn, n, 0, 0, 0)

@@ -17,12 +17,14 @@ from perimetric.errors import (
     DuplicateId,
     SnapshotSyntaxError,
     UnbandableRadius,
+    UnknownNode,
     UnknownPrincipal,
     UnknownReference,
     UnsupportedSchemaVersion,
 )
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.hierarchy import (
+    MAX_LEVEL,
     MAX_MG_DEPTH,
     HierarchyNode,
     NodeKind,
@@ -232,6 +234,41 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
         radius, mean = max(values), sum(values, Fraction(0)) / len(values)
     ultracycle = radius if radius > 0 and mean == radius else None
     return FractionRisk(spn, n, radius, length, mean, spread_ratio(n, length, mean), ultracycle)
+
+
+def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int, ...]]]:
+    """Oracle for EffectiveDistance.merges: every occupied root path is walked up
+    to the tree root, and every node builds its clean and dirty tuples."""
+    tree = dist._tree
+    read, write = dist._model.read_weight, dist._model.write_weight
+    blocks: dict[str, list[tuple[int, bool]]] = {}
+    by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]
+    for grant in dict.fromkeys(grants):
+        if grant.scope not in tree.nodes:
+            raise UnknownNode(f"node {grant.scope!r} not in tree")
+        if grant.scope not in blocks:
+            blocks[grant.scope] = []
+            by_depth[tree.depth[grant.scope]].append(grant.scope)
+        blocks[grant.scope].append((1, grant.access is AccessClass.WRITE))
+    merges: list[tuple[int, tuple[int, ...]]] = []
+    for depth in range(len(by_depth) - 1, -1, -1):
+        for node in by_depth[depth]:
+            here = blocks.pop(node)
+            shift = kernels.SCALE_BITS - (2 * tree.canonical_level[node] + 1)
+            clean = tuple(size for size, raised in here if not raised)
+            dirty = tuple(size for size, raised in here if raised)
+            if len(clean) > 1:
+                merges.append((read << shift, clean))
+            joined = (sum(clean),) + dirty if clean else dirty
+            if dirty and len(joined) > 1:
+                merges.append((write << shift, joined))
+            parent = tree.nodes[node].parent
+            if parent is not None:
+                if parent not in blocks:
+                    blocks[parent] = []
+                    by_depth[depth - 1].append(parent)
+                blocks[parent].append((sum(joined), node in dist._dirty))
+    return merges
 
 
 def fraction_rank(risks):

@@ -9,9 +9,12 @@ check_ultrametricity's bitset scan is checked against the plain cubic
 loop, DistanceModel's integer matrix against the Fraction matrix of
 per-pair calls, raw_violates against a full triple scan of the raw
 distances, and infimum_distance against the minimum over the family.
+EffectiveDistance.merges is checked against the walk to the tree root it
+replaced, and assess_principal's closed form against reorderings of its input.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from math import lcm
@@ -55,6 +58,7 @@ from helpers import (
     fraction_brute_force,
     fraction_nn_tour,
     fraction_rank,
+    merges_oracle,
     triple_violations_cubic,
 )
 
@@ -362,6 +366,71 @@ def test_merges_show_a_write_raising_a_read_pair():
     assert risk.perimeter == Fraction(2 * 32 + 8, 2**21) == brute_force_tour(sorted_grants(grants), dist)
     assert risk.mean_distance == Fraction(8 + 32 + 32, 3 * 2**21)
     assert risk.ultracycle is None
+
+
+class _Recorded(dict):
+    """A node map that records every id read by subscript."""
+
+    def __init__(self, nodes):
+        super().__init__(nodes)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _ancestors(tree, scope):
+    """scope and every node above it."""
+    path = [scope]
+    while (parent := tree.nodes[path[-1]].parent) is not None:
+        path.append(parent)
+    return path
+
+
+@settings(max_examples=400, deadline=None)
+@given(instances(max_size=16), st.data())
+def test_merges_match_the_walk_to_the_root(instance, data):
+    tree, grants, model = instance
+    dist = effective_distance(grants, tree, model)
+    reads = [g for g in grants if g.access is READ]
+    # the same sequence on both, as lists: the input order, reversed, and the
+    # raw_violates shape (the closure is built on every grant, merged on the reads)
+    for seq in (grants, grants[::-1], reads):
+        assert dist.merges(seq) == merges_oracle(dist, seq)
+    # nothing above the grants' lowest common ancestor is read
+    recorded = replace(tree, nodes=_Recorded(tree.nodes))
+    dist._tree = recorded
+    dist.merges(grants)
+    if grants:
+        above = set.intersection(*(set(_ancestors(tree, g.scope)) for g in grants))
+        assert not recorded.nodes.read & above
+    # an unknown scope anywhere in the sequence: the same first one named
+    unknown = [Grant("z", data.draw(st.sampled_from(AccessClass)), ghost) for ghost in ("ghost", "phantom")]
+    seq = list(grants)
+    for grant in unknown[: data.draw(st.integers(1, 2))]:
+        seq.insert(data.draw(st.integers(0, len(seq))), grant)
+    messages = []
+    for merges in (dist.merges, partial(merges_oracle, dist)):
+        with pytest.raises(UnknownNode) as caught:
+            merges(seq)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_size=16), st.integers(0, 16))
+def test_closed_form_reads_the_set_in_any_order(instance, repeated):
+    tree, grants, model = instance
+    dist = effective_distance(grants, tree, model)
+    risk = assess_principal("spn", frozenset(grants), dist)
+    for given_as in (
+        sorted_grants(grants),
+        list(reversed(grants)) + grants[:repeated],
+        (g for g in grants),
+    ):
+        assert assess_principal("spn", given_as, dist) == risk
+    assert risk == assess_principal("spn", grants, lambda a, b: dist(a, b))
 
 
 _VALUE_POOLS = (

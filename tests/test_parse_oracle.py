@@ -2,14 +2,14 @@
 
 Each example takes a valid document (a fixture, or a generated tenant with
 nested group chains and an alternate hierarchy), applies no mutation, a byte
-or structure mutation or an assignment-field mutation, and feeds the result
-to both parses as bytes and as str. Either both return equal snapshots that
-serialize to the same bytes, or both raise the same exception type with the
-same message.
+or structure mutation, or an assignment- or hierarchy-field mutation, and
+feeds the result to both parses as bytes and as str. Either both return
+equal snapshots that serialize to the same bytes, or both raise the same
+exception type with the same message.
 """
 
 import json
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +20,7 @@ from perimetric.ingestion import parse_snapshot, serialize_snapshot
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIELDS = ("principal", "action", "access", "scope")
+NODE_FIELDS = ("id", "kind", "parent")
 # A wrong-case access, an undeclared id and lone surrogates from both ends of
 # the range; "group" stands for a declared group's id.
 FIELD_VALUES = (None, 0, "", [], {}, "READ", "ghost", "group", "\ud800", "x\udfff")
@@ -47,7 +48,7 @@ CHANGES = (*(("set", value) for value in FIELD_VALUES), ("drop", None), ("extra"
 
 
 def _change(doc: dict, entry: dict, field: str, change: tuple) -> None:
-    """Set one assignment field to a bad value, drop it, or add an extra key."""
+    """Set one assignment or hierarchy field to a bad value, drop it, or add an extra key."""
     kind, value = change
     if kind == "set":
         entry[field] = doc["groups"][0]["id"] if value == "group" and doc["groups"] else value
@@ -71,6 +72,14 @@ def mutate_assignment(data, text: bytes) -> bytes:
     return _encode(doc, data.draw(st.booleans()))
 
 
+def mutate_node(data, text: bytes) -> bytes:
+    doc = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 2))):
+        entry = data.draw(st.sampled_from(doc["hierarchy"]))
+        _change(doc, entry, data.draw(st.sampled_from(NODE_FIELDS)), data.draw(st.sampled_from(CHANGES)))
+    return _encode(doc, data.draw(st.booleans()))
+
+
 def _outcome(parse, document):
     try:
         snapshot = parse(document)
@@ -89,7 +98,7 @@ def _assert_same_outcome(text: bytes) -> None:
 @given(st.data())
 def test_parse_matches_the_field_by_field_oracle(data):
     text = data.draw(st.sampled_from(SOURCES))
-    mutate = data.draw(st.sampled_from((None, mutate_bytes, mutate_structure, mutate_assignment)))
+    mutate = data.draw(st.sampled_from((None, mutate_bytes, mutate_structure, mutate_assignment, mutate_node)))
     _assert_same_outcome(text if mutate is None else mutate(data, text))
 
 
@@ -98,4 +107,16 @@ def test_each_single_field_change_matches_the_oracle():
     for field, change, ascii_only in product(FIELDS, CHANGES, (True, False)):
         doc = json.loads(base)
         _change(doc, doc["assignments"][len(doc["assignments"]) // 2], field, change)
+        _assert_same_outcome(_encode(doc, ascii_only))
+
+
+def test_each_node_field_change_matches_the_oracle():
+    # one field, or two on the same node, so the order of the checks shows
+    base = _generated(0)
+    fields = (*((f,) for f in NODE_FIELDS), *combinations(NODE_FIELDS, 2))
+    for changed, change, ascii_only in product(fields, CHANGES, (True, False)):
+        doc = json.loads(base)
+        entry = doc["hierarchy"][len(doc["hierarchy"]) // 2]
+        for field in changed:
+            _change(doc, entry, field, change)
         _assert_same_outcome(_encode(doc, ascii_only))
