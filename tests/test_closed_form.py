@@ -16,7 +16,7 @@ replaced, and assess_principal's closed form against reorderings of its input.
 import random
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from math import lcm
 
 import pytest
@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from perimetric import kernels
 from perimetric.errors import UnbandableRadius, UnknownNode
-from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree
+from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree, lca
 from perimetric.metric import (
     DEFAULT_IMPACT,
     AccessClass,
@@ -380,14 +380,6 @@ class _Recorded(dict):
         return super().__getitem__(key)
 
 
-def _ancestors(tree, scope):
-    """scope and every node above it."""
-    path = [scope]
-    while (parent := tree.nodes[path[-1]].parent) is not None:
-        path.append(parent)
-    return path
-
-
 @settings(max_examples=400, deadline=None)
 @given(instances(max_size=16), st.data())
 def test_merges_match_the_walk_to_the_root(instance, data):
@@ -403,8 +395,8 @@ def test_merges_match_the_walk_to_the_root(instance, data):
     dist._tree = recorded
     dist.merges(grants)
     if grants:
-        above = set.intersection(*(set(_ancestors(tree, g.scope)) for g in grants))
-        assert not recorded.nodes.read & above
+        top = reduce(partial(lca, tree), (g.scope for g in grants))
+        assert all(lca(tree, node, top) != node for node in recorded.nodes.read)
     # an unknown scope anywhere in the sequence: the same first one named
     unknown = [Grant("z", data.draw(st.sampled_from(AccessClass)), ghost) for ghost in ("ghost", "phantom")]
     seq = list(grants)
