@@ -121,20 +121,41 @@ def _render_scan_json(records: Sequence[tuple[PrincipalRisk, str | None]]) -> st
 
 
 class _Main(click.Group):
-    """The command group: an exception no command handles exits 3 with one line.
+    """The command group: every error it sees ends in one `error:` line.
 
-    A failed write to stdout is the usual one. Click's own usage errors
-    (exit 2) and the commands' sys.exit codes pass through unchanged.
+    Click's usage errors (an unknown command or option, a bad value, a
+    missing or unreadable file) keep their exit code, 2, wherever they are
+    raised; an exception no command handles, such as a failed write to
+    stdout, exits 3. The commands' sys.exit codes, --help and the help a
+    bare `perimetric` prints pass through unchanged.
     """
+
+    def make_context(self, *args, **kwargs) -> click.Context:
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.exceptions.ClickException as exc:
+            _usage_error(exc)
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
-        except (click.exceptions.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+        except click.exceptions.ClickException as exc:
+            _usage_error(exc)
+        except (click.exceptions.Exit, click.exceptions.Abort):
             raise
         except Exception as exc:
             _release_stdout()
             _fail(" ".join(f"unexpected {type(exc).__name__}: {exc}".split()), 3)
+
+
+# click 8.2 and later raise this for a bare group; earlier versions print the help and exit 0
+_HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
+
+
+def _usage_error(exc: click.exceptions.ClickException) -> NoReturn:
+    if isinstance(exc, _HELP_ERRORS):
+        raise exc
+    _fail(" ".join(exc.format_message().split()), exc.exit_code)
 
 
 def _release_stdout() -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -251,7 +252,8 @@ class EffectiveDistance:
     single access class are untouched.
 
     Instances are bound to one grant set; only pairs from that set may
-    be queried.
+    be queried. The dirty set (nodes with a write at or below them) is
+    built on first use; geometry over the set itself never reads it.
     """
 
     def __init__(
@@ -264,18 +266,20 @@ class EffectiveDistance:
             raise ValueError(
                 "ultrametric closure needs write_weight below four times read_weight"
             )
-        self._tree = tree
-        self._model = model
-        dirty: set[str] = set()
-        for grant in grants:  # a repeated write stops at its scope, already dirty
+        self._tree, self._model, self._grants = tree, model, tuple(grants)
+        for grant in self._grants:
             if grant.scope not in tree.nodes:
                 raise UnknownNode(f"node {grant.scope!r} not in tree")
-            if grant.access is AccessClass.WRITE:
-                node: str | None = grant.scope
-                while node is not None and node not in dirty:
-                    dirty.add(node)
-                    node = tree.nodes[node].parent
-        self._dirty = dirty
+
+    @cached_property
+    def _dirty(self) -> set[str]:
+        nodes, dirty = self._tree.nodes, set()
+        for grant in self._grants:  # a repeated write stops at its scope, already dirty
+            node = grant.scope if grant.access is AccessClass.WRITE else None
+            while node is not None and node not in dirty:
+                dirty.add(node)
+                node = nodes[node].parent
+        return dirty
 
     def __call__(self, a: Grant, b: Grant) -> Fraction:
         if a == b:
@@ -286,59 +290,66 @@ class EffectiveDistance:
         weight = self._model.write_weight if (side_a or side_b) else self._model.read_weight
         return Fraction(weight, 1 << (2 * self._tree.canonical_level[top] + 1))
 
-    def merges(self, grants: Iterable[Grant]) -> list[tuple[int, tuple[int, ...]]]:
-        """The closure's dendrogram over `grants`: one (height, block sizes) per merge.
+    def geometry(self, grants: Iterable[Grant], own: bool = True) -> tuple[int, int, int, int]:
+        """(n, radius, length, pair_sum) of the closure's dendrogram over the distinct `grants`.
 
-        Heights are integers in units of 2**-21. At a tree node v of level
-        L the blocks are the grants sitting on v plus v's occupied child
-        subtrees; a block is dirty by the test __call__ applies (a write
-        grant on v, a child subtree in the dirty set). Clean blocks merge
-        at read height r/2**(2L+1), then everything at v merges at write
-        height w/2**(2L+1). Merges are listed bottom-up, so the last one is
-        the top merge, whose height is the diameter. No node above the grants'
-        top block (their lowest common ancestor) is visited. The sizes inside
-        a merge follow the iteration order of `grants`. Duplicate grants count
-        once; the first unknown scope, in iteration order, raises UnknownNode.
+        Heights are integers in units of 2**-21. At a node of level L, its grants and
+        occupied child subtrees are blocks: the clean ones merge at read height
+        r/2**(2L+1), then, if one is dirty, all at write height w/2**(2L+1). A merge of
+        blocks of sizes s adds its height times len(s) - 1 to the tour length and times
+        (sum(s)**2 - sum(s*s)) / 2 to the pair sum, so a node keeps just three sums for
+        its clean blocks and three for its dirty ones. The fold stops at the grants'
+        lowest common ancestor, whose top merge the tour crosses once more. With `own`,
+        `grants` is the closure's own set, so a subtree is dirty when one of its blocks
+        is; else the dirty set decides. The first unknown scope, in order, raises UnknownNode.
         """
         tree = self._tree
-        nodes, depth_of, level_of, raised_nodes = tree.nodes, tree.depth, tree.canonical_level, self._dirty
+        nodes, depth_of, level_of = tree.nodes, tree.depth, tree.canonical_level
         read, write = self._model.read_weight, self._model.write_weight
-        # node -> (size, dirty) per block, filled bottom-up one depth at a time
-        blocks: dict[str, list[tuple[int, bool]]] = {}
+        raised_nodes = None if own else self._dirty
+        # node -> count, size sum and size-square sum of its clean blocks, then of its dirty ones
+        blocks: dict[str, list[int]] = {}
         by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]  # depth <= level
-        for grant in dict.fromkeys(grants):
+        items = dict.fromkeys(grants)
+        for grant in items:
             scope = grant.scope
             here = blocks.get(scope)
             if here is None:
                 if scope not in nodes:
                     raise UnknownNode(f"node {scope!r} not in tree")
-                here = blocks[scope] = []
+                here = blocks[scope] = [0, 0, 0, 0, 0, 0]
                 by_depth[depth_of[scope]].append(scope)
-            here.append((1, grant.access is AccessClass.WRITE))
-        merges: list[tuple[int, tuple[int, ...]]] = []
+            k = 3 if grant.access is AccessClass.WRITE else 0
+            here[k] += 1
+            here[k + 1] += 1
+            here[k + 2] += 1
+        height = length = pair_sum = 0
         for depth in range(len(by_depth) - 1, -1, -1):
             for node in by_depth[depth]:
-                here = blocks.pop(node)
-                if len(here) == 1:  # nothing merges here; the block passes up as it is
-                    size = here[0][0]
-                else:
+                clean, clean_sum, clean_squares, dirty, dirty_sum, dirty_squares = blocks.pop(node)
+                size = clean_sum + dirty_sum
+                if clean + dirty > 1:  # a lone block passes up as it is
                     shift = kernels.SCALE_BITS - (2 * level_of[node] + 1)
-                    clean = tuple(size for size, raised in here if not raised)
-                    dirty = tuple(size for size, raised in here if raised)
-                    if len(clean) > 1:
-                        merges.append((read << shift, clean))
-                    joined = (sum(clean),) + dirty if clean else dirty
-                    if dirty:
-                        merges.append((write << shift, joined))
-                    size = sum(joined)
+                    height = read << shift
+                    if clean:  # the clean blocks merge at read height
+                        length += height * (clean - 1)
+                        pair_sum += height * ((clean_sum * clean_sum - clean_squares) >> 1)
+                    if dirty:  # then, joined into one, they meet the dirty ones at write height
+                        height = write << shift
+                        length += height * (dirty if clean else dirty - 1)
+                        pair_sum += height * ((size * size - clean_sum * clean_sum - dirty_squares) >> 1)
                 if not blocks:  # this node holds every grant
-                    return merges
+                    return len(items), height, length + height, pair_sum
                 parent = nodes[node].parent
-                if parent not in blocks:
-                    blocks[parent] = []
+                up = blocks.get(parent)
+                if up is None:
+                    up = blocks[parent] = [0, 0, 0, 0, 0, 0]
                     by_depth[depth - 1].append(parent)
-                blocks[parent].append((size, node in raised_nodes))
-        return merges
+                k = 3 if (dirty if own else node in raised_nodes) else 0
+                up[k] += 1
+                up[k + 1] += size
+                up[k + 2] += size * size
+        return 0, 0, 0, 0
 
 
 def effective_distance(
@@ -356,10 +367,11 @@ def raw_violates(grants: Sequence[Grant], tree: TenantTree, model: ImpactModel =
     With read < write < 4 * read and levels rising strictly down every root path, they
     do exactly where a write w raises the closure's merge of two reads: w and a read j
     under one child of a node, a read k elsewhere at it, so d(w, k) > max(d(w, j), d(j, k)).
+    So they do when the reads' pair sum under the closure beats that under their own closure.
     """
     reads = [g for g in grants if g.access is AccessClass.READ]
-    raised = EffectiveDistance(grants, tree, model).merges(reads)
-    return raised != EffectiveDistance(reads, tree, model).merges(reads)
+    raised = EffectiveDistance(grants, tree, model).geometry(reads, own=False)[3]
+    return raised > EffectiveDistance(reads, tree, model).geometry(reads)[3]
 
 
 P = TypeVar("P")

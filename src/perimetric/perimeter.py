@@ -1,19 +1,18 @@
 """Per-principal geometry: blast radius, tour perimeter, mean, spread ratio.
 
 The data perimeter of a grant set is the minimal cyclic tour length over
-all grants. Over the closure (EffectiveDistance) every figure follows
-from the dendrogram in closed form, with no distance matrix: a minimal
-tour crosses the top merge once per block and every other merge one time
-fewer than it has blocks. It reads the grant set in any order, since
-none of these figures depends on it. Any other distance callable goes
-through the pairwise matrix over the sorted grants (the only path that
-sorts) and the greedy nearest-neighbor tour, which attains the minimum
-on ultrametric distances; that path, and the exhaustive oracle, are
-what the tests check the closed form against. That matrix holds
-integers over one exact unit (kernels.try_scale): 2**21 for dyadic
-distances, as on the closed form. Lengths stay integers over that unit
-inside; PrincipalRisk's properties and Tour.length are exact Fractions
-built from them.
+all grants. Over the closure, EffectiveDistance.geometry folds every
+figure off the dendrogram in one integer pass, with no distance matrix:
+a minimal tour crosses the top merge once per block and every other
+merge one time fewer than it has blocks. The grant set may come in any
+order. Any other distance callable goes through the pairwise matrix over
+the sorted grants (the only path that sorts) and the greedy
+nearest-neighbor tour, which attains the minimum on ultrametric
+distances; that path, and the exhaustive oracle, are what the tests
+check the closed form against. That matrix holds integers over one exact
+unit (kernels.try_scale): 2**21 for dyadic distances, as on the closed
+form. Lengths stay integers over that unit inside; PrincipalRisk's
+properties and Tour.length are exact Fractions built from them.
 """
 
 from __future__ import annotations
@@ -175,28 +174,17 @@ def is_ultracycle(grants: Iterable[Grant], dist: DistFn) -> Fraction | None:
 def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> PrincipalRisk:
     """Full risk record for one principal.
 
-    An EffectiveDistance is read through its dendrogram in closed form,
-    over the set of grants in any order; any other distance callable is
-    evaluated once per pair into a matrix, over the sorted grants.
+    An EffectiveDistance folds its own grant set, in any order, into the
+    record in closed form (EffectiveDistance.geometry); any other distance
+    callable is evaluated once per pair into a matrix, over the sorted grants.
     """
-    items = set(grants) if isinstance(dist, EffectiveDistance) else sorted_grants(grants)
+    if isinstance(dist, EffectiveDistance):
+        return PrincipalRisk(spn, *dist.geometry(grants))
+    items = sorted_grants(grants)
     n = len(items)
     if n <= 1:
         return PrincipalRisk(spn, n, 0, 0, 0)
-    if isinstance(dist, EffectiveDistance):
-        return PrincipalRisk(spn, n, *_dendrogram_geometry(dist.merges(items)))
     return PrincipalRisk(spn, n, *_matrix_geometry(items, dist))
-
-
-def _dendrogram_geometry(merges: list[tuple[int, tuple[int, ...]]]) -> tuple[int, int, int]:
-    """Radius, minimal tour length and pair sum from merges, all in 2**-21 units."""
-    *inner, (top, top_blocks) = merges
-    length = top * len(top_blocks) + sum(height * (len(sizes) - 1) for height, sizes in inner)
-    # a merge joins every pair of points that lie in two different blocks
-    pair_sum = sum(
-        height * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for height, sizes in merges
-    )
-    return top, length, pair_sum
 
 
 def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[int, int, int, int]:

@@ -21,7 +21,8 @@ def format_fixed(num: Fraction | int, den: int = 1, digits: int = 6) -> str:
 
     The quotient need not be reduced; a Fraction num is divided by den.
     """
-    if isinstance(num, Fraction):
+    # int first: an isinstance check against Fraction runs ABCMeta's Python-level hook
+    if not isinstance(num, int) and isinstance(num, Fraction):
         num, den = num.numerator, num.denominator * den
     q, r = divmod(num * 10**digits, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):

@@ -221,7 +221,7 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
     if n <= 1:
         return FractionRisk(spn, n, Fraction(0), Fraction(0), Fraction(0), Fraction(1), None)
     if isinstance(dist, EffectiveDistance):
-        *inner, (top, top_blocks) = merges = dist.merges(items)
+        *inner, (top, top_blocks) = merges = merges_oracle(dist, items)
         tour = top * len(top_blocks) + sum(h * (len(sizes) - 1) for h, sizes in inner)
         pair_sum = sum(h * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for h, sizes in merges)
         scale = kernels.SCALE
@@ -237,8 +237,11 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
 
 
 def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int, ...]]]:
-    """Oracle for EffectiveDistance.merges: every occupied root path is walked up
-    to the tree root, and every node builds its clean and dirty tuples."""
+    """The closure's dendrogram over `grants` as one (height, block sizes) per
+    merge, bottom-up, the sizes in the order of `grants`; the oracle for
+    EffectiveDistance.geometry. Every occupied root path is walked up to the
+    tree root, every node builds its clean and dirty tuples, and a child
+    subtree is dirty when it is in the closure's dirty set."""
     tree = dist._tree
     read, write = dist._model.read_weight, dist._model.write_weight
     blocks: dict[str, list[tuple[int, bool]]] = {}
@@ -269,6 +272,18 @@ def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int,
                     by_depth[depth - 1].append(parent)
                 blocks[parent].append((sum(joined), node in dist._dirty))
     return merges
+
+
+def merges_geometry(merges: list[tuple[int, tuple[int, ...]]]) -> tuple[int, int, int]:
+    """Radius, minimal tour length and pair sum read off a merge list, as
+    EffectiveDistance.geometry folds them; all 0 with no merge."""
+    if not merges:
+        return 0, 0, 0
+    top = merges[-1][0]
+    length = top + sum(height * (len(sizes) - 1) for height, sizes in merges)
+    # a merge joins every pair of points that lie in two different blocks
+    pair_sum = sum(height * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for height, sizes in merges)
+    return top, length, pair_sum
 
 
 def fraction_rank(risks):

@@ -212,6 +212,37 @@ def test_unexpected_error_exits_3_with_one_line(monkeypatch):
     assert result.stderr == "error: unexpected RuntimeError: first line second line\n"
 
 
+@pytest.mark.parametrize(
+    "args, names",
+    [
+        (["scan", "no-such-snapshot.json"], "no-such-snapshot.json"),
+        (["scna", str(COUNTEREXAMPLE)], "scna"),
+        (["--bogus", "scan", str(COUNTEREXAMPLE)], "--bogus"),
+        (["check-family", "--limit", "0", str(COUNTEREXAMPLE)], "--limit"),
+        (["scan", "--format", "xml", str(COUNTEREXAMPLE)], "xml"),
+        (["explain"], "SNAPSHOT"),
+    ],
+    ids=["missing-path", "unknown-command", "group-option", "limit-zero", "bad-choice", "missing-argument"],
+)
+def test_usage_errors_end_in_one_error_line(args, names):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert names in result.stderr
+
+
+def test_help_is_unchanged_by_the_error_line():
+    for args in (["--help"], ["scan", "--help"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ")
+    bare = runner.invoke(main, [])  # a bare group prints its help, as click does
+    assert "Usage: " in bare.output and "Commands:" in bare.output
+    assert "error:" not in bare.output
+
+
 def test_scan_jobs_flag_is_deterministic():
     snapshot = serialize_snapshot(
         generate_synthetic_tenant(GeneratorConfig(seed=9, tight_spns=8, dispersed_spns=8))

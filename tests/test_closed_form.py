@@ -9,8 +9,9 @@ check_ultrametricity's bitset scan is checked against the plain cubic
 loop, DistanceModel's integer matrix against the Fraction matrix of
 per-pair calls, raw_violates against a full triple scan of the raw
 distances, and infimum_distance against the minimum over the family.
-EffectiveDistance.merges is checked against the walk to the tree root it
-replaced, and assess_principal's closed form against reorderings of its input.
+EffectiveDistance.geometry is checked against the merge list of the walk to
+the tree root it replaced, and assess_principal's closed form against
+reorderings of its input.
 """
 
 import random
@@ -30,6 +31,7 @@ from perimetric.metric import (
     DEFAULT_IMPACT,
     AccessClass,
     DistanceModel,
+    EffectiveDistance,
     Grant,
     HierarchyFamily,
     ImpactModel,
@@ -58,6 +60,7 @@ from helpers import (
     fraction_brute_force,
     fraction_nn_tour,
     fraction_rank,
+    merges_geometry,
     merges_oracle,
     triple_violations_cubic,
 )
@@ -360,7 +363,9 @@ def test_merges_show_a_write_raising_a_read_pair():
     dist = effective_distance(grants, tree)
     # res1's read and write meet at the write height of level 9, 2/2**19;
     # the write dirties res1, so res2's read joins at level 8's write height
-    assert dist.merges(grants) == [(2 << 2, (1, 1)), (2 << 4, (1, 2))]
+    assert merges_oracle(dist, grants) == [(2 << 2, (1, 1)), (2 << 4, (1, 2))]
+    # the fold: radius 32; length 8 + 32 * (2 - 1) + 32 once more; pairs 8 * 1 + 32 * 2
+    assert dist.geometry(grants) == (3, 2 << 4, 8 + 32 + 32, 8 + 32 * 2)
     risk = assess_principal("spn", grants, dist)
     assert risk.blast_radius == Fraction(1, 2**16)
     assert risk.perimeter == Fraction(2 * 32 + 8, 2**21) == brute_force_tour(sorted_grants(grants), dist)
@@ -380,34 +385,49 @@ class _Recorded(dict):
         return super().__getitem__(key)
 
 
+def _oracle_geometry(dist, grants):
+    return (len(set(grants)), *merges_geometry(merges_oracle(dist, grants)))
+
+
 @settings(max_examples=400, deadline=None)
 @given(instances(max_size=16), st.data())
-def test_merges_match_the_walk_to_the_root(instance, data):
+def test_geometry_matches_the_walk_to_the_root(instance, data):
     tree, grants, model = instance
     dist = effective_distance(grants, tree, model)
+    # the closure's own set, in the input order and reversed, never builds the dirty set
+    own = [dist.geometry(seq) for seq in (grants, grants[::-1])]
+    assert "_dirty" not in vars(dist)
+    assert own == [_oracle_geometry(dist, grants)] * 2
+    # other sets read the dirty set: the reads (the raw_violates shape: the
+    # closure is built on every grant, folded on the reads) and a random
+    # sub-multiset of the grants, repeats and all
     reads = [g for g in grants if g.access is READ]
-    # the same sequence on both, as lists: the input order, reversed, and the
-    # raw_violates shape (the closure is built on every grant, merged on the reads)
-    for seq in (grants, grants[::-1], reads):
-        assert dist.merges(seq) == merges_oracle(dist, seq)
-    # nothing above the grants' lowest common ancestor is read
+    subset = data.draw(st.lists(st.sampled_from(grants), max_size=16)) if grants else []
+    for seq in (reads, subset):
+        assert dist.geometry(seq, own=False) == _oracle_geometry(dist, seq)
+    raised = merges_oracle(dist, reads) != merges_oracle(EffectiveDistance(reads, tree, model), reads)
+    assert raw_violates(grants, tree, model) == raised
+    # nothing at or above the lowest common ancestor of the folded set is read
     recorded = replace(tree, nodes=_Recorded(tree.nodes))
     dist._tree = recorded
-    dist.merges(grants)
-    if grants:
-        top = reduce(partial(lca, tree), (g.scope for g in grants))
-        assert all(lca(tree, node, top) != node for node in recorded.nodes.read)
+    for seq, is_own in ((grants, True), (reads, False)):
+        recorded.nodes.read.clear()
+        dist.geometry(seq, own=is_own)
+        if seq:
+            top = reduce(partial(lca, tree), (g.scope for g in seq))
+            assert all(lca(tree, node, top) != node for node in recorded.nodes.read)
+    dist._tree = tree
     # an unknown scope anywhere in the sequence: the same first one named
     unknown = [Grant("z", data.draw(st.sampled_from(AccessClass)), ghost) for ghost in ("ghost", "phantom")]
     seq = list(grants)
     for grant in unknown[: data.draw(st.integers(1, 2))]:
         seq.insert(data.draw(st.integers(0, len(seq))), grant)
     messages = []
-    for merges in (dist.merges, partial(merges_oracle, dist)):
+    for fold in (dist.geometry, partial(dist.geometry, own=False), partial(merges_oracle, dist)):
         with pytest.raises(UnknownNode) as caught:
-            merges(seq)
+            fold(seq)
         messages.append(str(caught.value))
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
 
 @settings(max_examples=300, deadline=None)
