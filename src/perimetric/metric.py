@@ -253,7 +253,7 @@ class EffectiveDistance:
 
     Instances are bound to one grant set; only pairs from that set may
     be queried. The dirty set (nodes with a write at or below them) is
-    built on first use; geometry over the set itself never reads it.
+    built on first use; geometry over the set itself never needs it.
     """
 
     def __init__(
@@ -297,11 +297,10 @@ class EffectiveDistance:
         occupied child subtrees are blocks: the clean ones merge at read height
         r/2**(2L+1), then, if one is dirty, all at write height w/2**(2L+1). A merge of
         blocks of sizes s adds its height times len(s) - 1 to the tour length and times
-        (sum(s)**2 - sum(s*s)) / 2 to the pair sum, so a node keeps just three sums for
-        its clean blocks and three for its dirty ones. The fold stops at the grants'
-        lowest common ancestor, whose top merge the tour crosses once more. With `own`,
-        `grants` is the closure's own set, so a subtree is dirty when one of its blocks
-        is; else the dirty set decides. The first unknown scope, in order, raises UnknownNode.
+        (sum(s)**2 - sum(s*s)) / 2 to the pair sum. The fold stops at the grants' lowest
+        common ancestor, whose top merge the tour crosses once more. With `own`, `grants`
+        is the closure's own set, so a subtree is dirty when one of its blocks is; else
+        the dirty set decides. The first unknown scope, in order, raises UnknownNode.
         """
         tree = self._tree
         nodes, depth_of, level_of = tree.nodes, tree.depth, tree.canonical_level
@@ -367,7 +366,7 @@ def raw_violates(grants: Sequence[Grant], tree: TenantTree, model: ImpactModel =
     With read < write < 4 * read and levels rising strictly down every root path, they
     do exactly where a write w raises the closure's merge of two reads: w and a read j
     under one child of a node, a read k elsewhere at it, so d(w, k) > max(d(w, j), d(j, k)).
-    So they do when the reads' pair sum under the closure beats that under their own closure.
+    That is when the reads' pair sum under the full closure exceeds that under their own.
     """
     reads = [g for g in grants if g.access is AccessClass.READ]
     raised = EffectiveDistance(grants, tree, model).geometry(reads, own=False)[3]

@@ -221,9 +221,7 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
     if n <= 1:
         return FractionRisk(spn, n, Fraction(0), Fraction(0), Fraction(0), Fraction(1), None)
     if isinstance(dist, EffectiveDistance):
-        *inner, (top, top_blocks) = merges = merges_oracle(dist, items)
-        tour = top * len(top_blocks) + sum(h * (len(sizes) - 1) for h, sizes in inner)
-        pair_sum = sum(h * (sum(sizes) ** 2 - sum(s * s for s in sizes)) // 2 for h, sizes in merges)
+        top, tour, pair_sum = merges_geometry(merges_oracle(dist, items))
         scale = kernels.SCALE
         radius, length = Fraction(top, scale), Fraction(tour, scale)
         mean = Fraction(pair_sum, scale * (n * (n - 1) // 2))
