@@ -45,9 +45,28 @@ def _fail(message: str, code: int) -> NoReturn:
     sys.exit(code)
 
 
-def _load(handle) -> TenantSnapshot:
+# a path, not an open file: click would open a file before checking the
+# parameters after it, and a usage error there leaves it open
+_SNAPSHOT_PATH = click.Path(dir_okay=False, allow_dash=True)
+
+
+def _read(path: str) -> bytes:
+    """The bytes of the file at `path`, or of standard input for `-`.
+
+    A file that cannot be opened or read is a usage error, worded as
+    click words it for a file argument.
+    """
     try:
-        return parse_snapshot(handle.read())
+        with click.open_file(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        message = f"'{click.format_filename(path)}': {exc.strerror}"
+        raise click.BadParameter(message, param_hint="'SNAPSHOT'") from None
+
+
+def _load(path: str) -> TenantSnapshot:
+    try:
+        return parse_snapshot(_read(path))  # no local holds the bytes while they are parsed
     except errors.PerimetricError as exc:
         _fail(str(exc), 2)
 
@@ -183,11 +202,11 @@ def main() -> None:
 
 
 @main.command()
-@click.argument("snapshot", type=click.File("rb"))
+@click.argument("snapshot", type=_SNAPSHOT_PATH)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Accepted for compatibility and ignored; scan runs in one thread.")
-def scan(snapshot, fmt: str, jobs: int) -> None:
+def scan(snapshot: str, fmt: str, jobs: int) -> None:
     """Rank every SPN by blast radius, breaking ties with the perimeter.
 
     Distances are computed over the native hierarchy; use check-family to
@@ -202,11 +221,11 @@ def scan(snapshot, fmt: str, jobs: int) -> None:
 
 
 @main.command()
-@click.argument("snapshot", type=click.File("rb"))
+@click.argument("snapshot", type=_SNAPSHOT_PATH)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--anonymize", is_flag=True, help="Shuffle rows and relabel bands with roman numerals.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Shuffle seed for --anonymize.")
-def bands(snapshot, fmt: str, anonymize: bool, seed: int) -> None:
+def bands(snapshot: str, fmt: str, anonymize: bool, seed: int) -> None:
     """Per-band SPN counts and average spread ratios."""
     parsed = _load(snapshot)
     try:
@@ -220,10 +239,10 @@ def bands(snapshot, fmt: str, anonymize: bool, seed: int) -> None:
 
 
 @main.command("check-family")
-@click.argument("snapshot", type=click.File("rb"))
+@click.argument("snapshot", type=_SNAPSHOT_PATH)
 @click.option("--limit", type=click.IntRange(min=1), default=100, show_default=True,
               help="Max violations reported per SPN.")
-def check_family(snapshot, limit: int) -> None:
+def check_family(snapshot: str, limit: int) -> None:
     """Audit pointwise-infimum distances over the alternate hierarchies.
 
     Exits 1 when any SPN's infimum distances break the strong triangle
@@ -317,9 +336,9 @@ def generate(seed, spns, archetype, tight, dispersed, mixed, management_groups,
 
 
 @main.command()
-@click.argument("snapshot", type=click.File("rb"))
+@click.argument("snapshot", type=_SNAPSHOT_PATH)
 @click.argument("spn")
-def explain(snapshot, spn: str) -> None:
+def explain(snapshot: str, spn: str) -> None:
     """Per-SPN breakdown: grants, tour edges, radius, perimeter, ratios."""
     parsed = _load(snapshot)
     try:

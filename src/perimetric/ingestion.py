@@ -20,7 +20,12 @@ rejects duplicate ids and keys, group cycles, lone surrogates and oversized numb
 and normalizes ordering, so parse -> serialize -> parse round-trips byte-identically.
 Validation works in bulk: a prescan decides whether the per-string surrogate
 check runs, assignments are checked as tuples in one pass, and duplicates are
-dropped in input order before one sort.
+dropped in input order before one sort. Scopes are checked here, once: the
+closures built on resolved grants do not check them again.
+
+Assignment, like Grant, is a tuple of its fields. The grant index keeps one
+Grant object per distinct (action, access, scope), shared by every principal
+that holds it, whether the snapshot was parsed or built with TenantSnapshot(...).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, NoReturn
+from typing import Iterable, NamedTuple, NoReturn
 
 from perimetric.errors import (
     DuplicateId,
@@ -52,8 +57,7 @@ _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _RAW_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     principal: str
     action: str
     access: AccessClass
@@ -183,6 +187,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         raise SnapshotSyntaxError("number has too many digits") from None
     except RecursionError:
         raise SnapshotSyntaxError("document is nested too deeply") from None
+    del data  # the text is not read again; free it before the records are built
 
     _expect(isinstance(doc, dict), "top level must be an object")
     version = doc.get("version")
@@ -280,6 +285,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         )
 
     del doc, raw_assignments  # free the decoded entries before the Assignments are built
+    new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
     snapshot = TenantSnapshot(
         version=version,
         hierarchy=tuple(sorted(nodes, key=lambda n: n.id)),
@@ -288,7 +294,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         spns=tuple(sorted(spns)),
         # string tuples sort as (principal, action, access.value, scope) does
         assignments=tuple(
-            Assignment(principal, action, _ACCESS[access], scope)
+            new(Assignment, (principal, action, _ACCESS[access], scope))
             for principal, action, access, scope in sorted(dict.fromkeys(rows))
         ),
     )
@@ -383,13 +389,18 @@ def _check_groups_acyclic(groups: Iterable[Group]) -> list[str]:
 def _grant_index(snapshot: TenantSnapshot) -> dict[str, frozenset[Grant]]:
     """Effective grants of every SPN, in one pass over assignments and groups.
 
-    Each group's closure (its own grants plus those of every group
-    containing it) is computed once, containers first, and shared by all
-    its members; a closure that adds nothing is the container's own set.
+    Each distinct (action, access, scope) becomes one Grant, shared by
+    every principal that holds it. Each group's closure (its own grants
+    plus those of every group containing it) is computed once, containers
+    first, and shared by all its members; a closure that adds nothing is
+    the container's own set.
     """
+    new = tuple.__new__
+    shared: dict[Grant, Grant] = {}
     direct: dict[str, set[Grant]] = {}
-    for a in snapshot.assignments:
-        direct.setdefault(a.principal, set()).add(Grant(action=a.action, access=a.access, scope=a.scope))
+    for principal, action, access, scope in snapshot.assignments:
+        grant = new(Grant, (action, access, scope))
+        direct.setdefault(principal, set()).add(shared.setdefault(grant, grant))
     containers: dict[str, list[str]] = {}
     for group in snapshot.groups:
         for member in group.members:

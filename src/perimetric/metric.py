@@ -14,6 +14,11 @@ the strong triangle inequality on sets that mix read and write grants
 while preserving the diameter exactly (raw_violates tells from it whether
 a set needed the repair). The pointwise infimum over a family of alternate
 hierarchies is generally not ultrametric, which check_ultrametricity finds.
+
+A Grant is a tuple of (action, access, scope), and AccessClass hashes by
+identity, so hashing and comparing grants runs in C. EffectiveDistance does
+not check its scopes when built, since a snapshot's scopes were checked once
+at parse; the queries that read the tree check the scopes they meet.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from enum import Enum
 from functools import cached_property
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from perimetric import kernels
 from perimetric.errors import UnknownNode
@@ -34,10 +39,16 @@ class AccessClass(Enum):
     READ = "read"
     WRITE = "write"
 
+    # members are singletons and Enum equality is identity, so the C-level
+    # identity hash agrees with it (Enum's own hashes the name in Python)
+    __hash__ = object.__hash__
 
-@dataclass(frozen=True)
-class Grant:
-    """One (action, access class, scope) permission atom."""
+
+class Grant(NamedTuple):
+    """One (action, access class, scope) permission atom.
+
+    A tuple: it hashes, compares and unpacks as (action, access, scope).
+    """
 
     action: str
     access: AccessClass
@@ -254,6 +265,10 @@ class EffectiveDistance:
     Instances are bound to one grant set; only pairs from that set may
     be queried. The dirty set (nodes with a write at or below them) is
     built on first use; geometry over the set itself never needs it.
+    Scopes are not checked on construction (a snapshot's grants were
+    checked when it was parsed): geometry checks the scopes it folds, and
+    building the dirty set checks the set's own, so every query still
+    raises UnknownNode for the first unknown scope.
     """
 
     def __init__(
@@ -267,14 +282,13 @@ class EffectiveDistance:
                 "ultrametric closure needs write_weight below four times read_weight"
             )
         self._tree, self._model, self._grants = tree, model, tuple(grants)
-        for grant in self._grants:
-            if grant.scope not in tree.nodes:
-                raise UnknownNode(f"node {grant.scope!r} not in tree")
 
     @cached_property
     def _dirty(self) -> set[str]:
         nodes, dirty = self._tree.nodes, set()
         for grant in self._grants:  # a repeated write stops at its scope, already dirty
+            if grant.scope not in nodes:
+                raise UnknownNode(f"node {grant.scope!r} not in tree")
             node = grant.scope if grant.access is AccessClass.WRITE else None
             while node is not None and node not in dirty:
                 dirty.add(node)
@@ -284,9 +298,10 @@ class EffectiveDistance:
     def __call__(self, a: Grant, b: Grant) -> Fraction:
         if a == b:
             return Fraction(0)
+        dirty = self._dirty  # checks the set's scopes before the pair's
         top, ca, cb = meet(self._tree, a.scope, b.scope)
-        side_a = ca in self._dirty if ca is not None else a.access is AccessClass.WRITE
-        side_b = cb in self._dirty if cb is not None else b.access is AccessClass.WRITE
+        side_a = ca in dirty if ca is not None else a.access is AccessClass.WRITE
+        side_b = cb in dirty if cb is not None else b.access is AccessClass.WRITE
         weight = self._model.write_weight if (side_a or side_b) else self._model.read_weight
         return Fraction(weight, 1 << (2 * self._tree.canonical_level[top] + 1))
 
@@ -325,7 +340,8 @@ class EffectiveDistance:
         height = length = pair_sum = 0
         for depth in range(len(by_depth) - 1, -1, -1):
             for node in by_depth[depth]:
-                clean, clean_sum, clean_squares, dirty, dirty_sum, dirty_squares = blocks.pop(node)
+                here = blocks.pop(node)
+                clean, clean_sum, clean_squares, dirty, dirty_sum, dirty_squares = here
                 size = clean_sum + dirty_sum
                 if clean + dirty > 1:  # a lone block passes up as it is
                     shift = kernels.SCALE_BITS - (2 * level_of[node] + 1)
@@ -340,11 +356,15 @@ class EffectiveDistance:
                 if not blocks:  # this node holds every grant
                     return len(items), height, length + height, pair_sum
                 parent = nodes[node].parent
+                raised = dirty if own else node in raised_nodes
                 up = blocks.get(parent)
                 if up is None:
-                    up = blocks[parent] = [0, 0, 0, 0, 0, 0]
                     by_depth[depth - 1].append(parent)
-                k = 3 if (dirty if own else node in raised_nodes) else 0
+                    if clean + dirty == 1 and raised == dirty:  # a lone block's entry is its new parent's
+                        blocks[parent] = here
+                        continue
+                    up = blocks[parent] = [0, 0, 0, 0, 0, 0]
+                k = 3 if raised else 0
                 up[k] += 1
                 up[k + 1] += size
                 up[k + 2] += size * size

@@ -12,14 +12,16 @@ distances; that path, and the exhaustive oracle, are what the tests
 check the closed form against. That matrix holds integers over one exact
 unit (kernels.try_scale): 2**21 for dyadic distances, as on the closed
 form. Lengths stay integers over that unit inside; PrincipalRisk's
-properties and Tour.length are exact Fractions built from them.
+properties and Tour.length are exact Fractions built from them. A
+PrincipalRisk is a tuple of its fields. The grants it is folded from are
+the snapshot index's shared Grant objects, whose scopes parse checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from perimetric import kernels
 from perimetric.errors import EmptyInput, TooLarge, UndefinedMean
@@ -38,14 +40,14 @@ class Tour:
     length: Fraction
 
 
-@dataclass(frozen=True)
-class PrincipalRisk:
+class PrincipalRisk(NamedTuple):
     """Risk geometry of one service principal's effective grant set.
 
     radius, length (the perimeter) and pair_sum (of all distinct pairs'
     distances) are integers in units of 1/unit; unit is kernels.SCALE
     unless a distance has a denominator that does not divide it. The
     public figures are exact Fractions built from them on each read.
+    A tuple of its six fields, as a Grant is of its three.
     """
 
     spn: str

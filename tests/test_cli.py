@@ -216,13 +216,14 @@ def test_unexpected_error_exits_3_with_one_line(monkeypatch):
     "args, names",
     [
         (["scan", "no-such-snapshot.json"], "no-such-snapshot.json"),
+        (["bands", str(FIXTURES)], str(FIXTURES)),
         (["scna", str(COUNTEREXAMPLE)], "scna"),
         (["--bogus", "scan", str(COUNTEREXAMPLE)], "--bogus"),
         (["check-family", "--limit", "0", str(COUNTEREXAMPLE)], "--limit"),
         (["scan", "--format", "xml", str(COUNTEREXAMPLE)], "xml"),
         (["explain"], "SNAPSHOT"),
     ],
-    ids=["missing-path", "unknown-command", "group-option", "limit-zero", "bad-choice", "missing-argument"],
+    ids=["missing-path", "directory-path", "unknown-command", "group-option", "limit-zero", "bad-choice", "missing-argument"],
 )
 def test_usage_errors_end_in_one_error_line(args, names):
     result = runner.invoke(main, args)
@@ -231,6 +232,16 @@ def test_usage_errors_end_in_one_error_line(args, names):
     assert result.stderr.startswith("error: ")
     assert len(result.stderr.splitlines()) == 1
     assert names in result.stderr
+
+
+def test_usage_error_after_the_snapshot_leaves_no_file_open():
+    # the snapshot is opened only in the command body, so the missing SPN fails first
+    result = _run_cli(["explain", str(COUNTEREXAMPLE)], python_flags=("-X", "dev", "-W", "error"), capture_output=True)
+    stderr = result.stderr.decode()
+    assert result.returncode == 2
+    assert result.stdout == b""
+    assert stderr.splitlines() == ["error: Missing argument 'SPN'."]
+    assert "ResourceWarning" not in stderr
 
 
 def test_help_is_unchanged_by_the_error_line():

@@ -1,6 +1,8 @@
 """The per-snapshot grant index against the per-SPN assignment scan it replaces."""
 
+import dataclasses
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 from perimetric import ingestion
 from perimetric.cli import main
 from perimetric.errors import GroupCycle, UnknownPrincipal
-from perimetric.ingestion import parse_snapshot, resolve_effective_grants
+from perimetric.ingestion import TenantSnapshot, parse_snapshot, resolve_effective_grants
 from perimetric.metric import AccessClass, Grant
 
-from helpers import scan_effective_grants
+from helpers import nested_group_chains, scan_effective_grants
 
 HIERARCHY = [
     {"id": "root", "kind": "tenant_root"},
@@ -74,6 +76,42 @@ def test_index_matches_assignment_scan(snapshot):
             resolve_effective_grants(principal, snapshot)
         with pytest.raises(UnknownPrincipal):
             scan_effective_grants(principal, snapshot)
+
+
+def _rebuilt(snapshot, rng):
+    """The snapshot through TenantSnapshot(...) and through dataclasses.replace,
+    its assignments shuffled and half of them repeated, as a caller may pass them."""
+    assignments = list(snapshot.assignments)
+    rng.shuffle(assignments)
+    assignments = tuple(assignments + assignments[: len(assignments) // 2])
+    fields = {field.name: getattr(snapshot, field.name) for field in dataclasses.fields(snapshot)}
+    return TenantSnapshot(**{**fields, "assignments": assignments}), dataclasses.replace(snapshot, assignments=assignments)
+
+
+def _assert_one_object_per_grant(snapshot):
+    shared = {}
+    for spn in snapshot.spns:
+        for grant in resolve_effective_grants(spn, snapshot):
+            assert type(grant) is Grant
+            assert shared.setdefault(grant, grant) is grant
+
+
+@settings(max_examples=200, deadline=None)
+@given(snapshots(), st.randoms(use_true_random=False))
+def test_index_is_one_builder_for_parsed_and_constructed_snapshots(snapshot, rng):
+    for built in (snapshot, *_rebuilt(snapshot, rng)):
+        for spn in snapshot.spns:
+            assert resolve_effective_grants(spn, built) == scan_effective_grants(spn, snapshot)
+        _assert_one_object_per_grant(built)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_nested_chains_share_one_object_per_grant(seed):
+    snapshot = parse_snapshot(nested_group_chains(seed))
+    for built in (snapshot, *_rebuilt(snapshot, random.Random(seed))):
+        for spn in snapshot.spns:
+            assert resolve_effective_grants(spn, built) == scan_effective_grants(spn, snapshot)
+        _assert_one_object_per_grant(built)
 
 
 def test_diamond_membership_counts_each_grant_once():

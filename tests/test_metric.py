@@ -11,6 +11,7 @@ from perimetric.hierarchy import HierarchyNode, NodeKind, build_tree
 from perimetric.metric import (
     AccessClass,
     DistanceModel,
+    EffectiveDistance,
     Grant,
     HierarchyFamily,
     ImpactModel,
@@ -19,6 +20,7 @@ from perimetric.metric import (
     effective_distance,
     infimum_distance,
     pair_impact,
+    raw_violates,
 )
 
 from helpers import chain_tree, grants_at, random_grants, random_tree
@@ -90,6 +92,28 @@ def test_distance_unknown_scope():
     b = Grant("b", READ, "lvl00")
     with pytest.raises(UnknownNode):
         distance(a, b, tree)
+
+
+@pytest.mark.parametrize(
+    "unknown, named",
+    [([Grant("w", WRITE, "ghost")], "ghost"), ([Grant("x", READ, "phantom"), Grant("w", WRITE, "ghost")], "phantom")],
+    ids=["write", "read-then-write"],
+)
+def test_closure_over_an_unknown_scope_raises_unknown_node(unknown, named):
+    tree, level = chain_tree()
+    known = [Grant("r", READ, level[3]), Grant("s", READ, level[5])]
+    grants = [known[0], *unknown, known[1]]
+    dist = EffectiveDistance(grants, tree)  # scopes are checked by the queries, not on construction
+    queries = (
+        lambda: dist(*known),
+        lambda: dist.geometry(known, own=False),
+        lambda: dist.geometry(grants),
+        lambda: raw_violates(grants, tree),
+    )
+    for query in queries:  # the first unknown scope in the set, never a KeyError
+        with pytest.raises(UnknownNode) as caught:
+            query()
+        assert str(caught.value) == f"node {named!r} not in tree"
 
 
 def _counterexample_family():
