@@ -88,30 +88,28 @@ def _rebuilt(snapshot, rng):
     return TenantSnapshot(**{**fields, "assignments": assignments}), dataclasses.replace(snapshot, assignments=assignments)
 
 
-def _assert_one_object_per_grant(snapshot):
-    shared = {}
-    for spn in snapshot.spns:
-        for grant in resolve_effective_grants(spn, snapshot):
-            assert type(grant) is Grant
-            assert shared.setdefault(grant, grant) is grant
+def _assert_index_matches_the_scan(snapshot, rng):
+    """The parsed and the rebuilt snapshots resolve as the oracle does, and
+    each holds one Grant object per distinct grant across all its SPNs."""
+    for built in (snapshot, *_rebuilt(snapshot, rng)):
+        shared = {}
+        for spn in snapshot.spns:
+            grants = resolve_effective_grants(spn, built)
+            assert grants == scan_effective_grants(spn, snapshot)
+            for grant in grants:
+                assert type(grant) is Grant
+                assert shared.setdefault(grant, grant) is grant
 
 
 @settings(max_examples=200, deadline=None)
 @given(snapshots(), st.randoms(use_true_random=False))
 def test_index_is_one_builder_for_parsed_and_constructed_snapshots(snapshot, rng):
-    for built in (snapshot, *_rebuilt(snapshot, rng)):
-        for spn in snapshot.spns:
-            assert resolve_effective_grants(spn, built) == scan_effective_grants(spn, snapshot)
-        _assert_one_object_per_grant(built)
+    _assert_index_matches_the_scan(snapshot, rng)
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_nested_chains_share_one_object_per_grant(seed):
-    snapshot = parse_snapshot(nested_group_chains(seed))
-    for built in (snapshot, *_rebuilt(snapshot, random.Random(seed))):
-        for spn in snapshot.spns:
-            assert resolve_effective_grants(spn, built) == scan_effective_grants(spn, snapshot)
-        _assert_one_object_per_grant(built)
+    _assert_index_matches_the_scan(parse_snapshot(nested_group_chains(seed)), random.Random(seed))
 
 
 def test_diamond_membership_counts_each_grant_once():
