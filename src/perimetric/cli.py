@@ -144,9 +144,11 @@ class _Main(click.Group):
 
     Click's usage errors (an unknown command or option, a bad value, a
     missing or unreadable file) keep their exit code, 2, wherever they are
-    raised; an exception no command handles, such as a failed write to
-    stdout, exits 3. The commands' sys.exit codes, --help and the help a
-    bare `perimetric` prints pass through unchanged.
+    raised. An exception no command handles exits 3: a PerimetricError is
+    an invariant breach (input errors exit 2 where a command meets them) and
+    prints its message; any other, such as a failed write to stdout, is
+    named as unexpected. The commands' sys.exit codes, --help and the help
+    a bare `perimetric` prints pass through unchanged.
     """
 
     def make_context(self, *args, **kwargs) -> click.Context:
@@ -164,7 +166,10 @@ class _Main(click.Group):
             raise
         except Exception as exc:
             _release_stdout()
-            _fail(" ".join(f"unexpected {type(exc).__name__}: {exc}".split()), 3)
+            message = f"unexpected {type(exc).__name__}: {exc}"
+            if isinstance(exc, errors.PerimetricError):  # an invariant breach
+                message = str(exc)
+            _fail(" ".join(message.split()), 3)
 
 
 # click 8.2 and later raise this for a bare group; earlier versions print the help and exit 0
@@ -212,11 +217,7 @@ def scan(snapshot: str, fmt: str, jobs: int) -> None:
     Distances are computed over the native hierarchy; use check-family to
     audit alternate-hierarchy infima before trusting them.
     """
-    parsed = _load(snapshot)
-    try:
-        records = _scan_records(parsed)
-    except errors.PerimetricError as exc:
-        _fail(str(exc), 3)
+    records = _scan_records(_load(snapshot))
     click.echo(_render_scan_csv(records) if fmt == "csv" else _render_scan_json(records), nl=False)
 
 
@@ -227,12 +228,8 @@ def scan(snapshot: str, fmt: str, jobs: int) -> None:
 @click.option("--seed", type=int, default=0, show_default=True, help="Shuffle seed for --anonymize.")
 def bands(snapshot: str, fmt: str, anonymize: bool, seed: int) -> None:
     """Per-band SPN counts and average spread ratios."""
-    parsed = _load(snapshot)
-    try:
-        risks = _assess_snapshot(parsed)
-        rows = band_report(risks, anonymize=anonymize, seed=seed)
-    except errors.PerimetricError as exc:
-        _fail(str(exc), 3)
+    risks = _assess_snapshot(_load(snapshot))
+    rows = band_report(risks, anonymize=anonymize, seed=seed)
     no_permissions = sum(1 for r in risks if r.radius == 0)
     render = render_band_report_csv if fmt == "csv" else render_band_report_json
     click.echo(render(rows, no_permissions), nl=False)
@@ -345,12 +342,9 @@ def explain(snapshot: str, spn: str) -> None:
         grants = sorted_grants(resolve_effective_grants(spn, parsed))
     except errors.PerimetricError as exc:
         _fail(str(exc), 2)
-    try:
-        dist = effective_distance(grants, parsed.native_tree())
-        risk = assess_principal(spn, grants, dist)
-        band = band_of(risk.radius, enumerate_bands(), risk.unit)
-    except errors.PerimetricError as exc:
-        _fail(str(exc), 3)
+    dist = effective_distance(grants, parsed.native_tree())
+    risk = assess_principal(spn, grants, dist)
+    band = band_of(risk.radius, enumerate_bands(), risk.unit)
 
     click.echo(f"spn: {spn}")
     click.echo(f"grants ({risk.n}):")

@@ -69,19 +69,13 @@ class HierarchyNode:
 class TenantTree:
     """Validated tenant hierarchy. Treat as immutable."""
 
-    root_id: str
     nodes: dict[str, HierarchyNode]
-    children: dict[str, tuple[str, ...]]
     canonical_level: dict[str, int]
     depth: dict[str, int]
 
 
 def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> TenantTree:
-    """Validate a node sequence and assemble the tenant tree.
-
-    Child ordering is sorted by id so traversals and reports are
-    deterministic regardless of input order.
-    """
+    """Validate a node sequence and assemble the tenant tree."""
     by_id: dict[str, HierarchyNode] = {}
     for node in nodes:
         if node.id in by_id:
@@ -144,18 +138,7 @@ def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> Tena
         else:
             levels[node.id] = _KIND_LEVELS[node.kind]
 
-    children: dict[str, list[str]] = {nid: [] for nid in by_id}
-    for node in by_id.values():
-        if node.parent is not None:
-            children[node.parent].append(node.id)
-
-    return TenantTree(
-        root_id=root.id,
-        nodes=by_id,
-        children={nid: tuple(sorted(kids)) for nid, kids in children.items()},
-        canonical_level=levels,
-        depth=depth,
-    )
+    return TenantTree(nodes=by_id, canonical_level=levels, depth=depth)
 
 
 def meet(tree: TenantTree, a: str, b: str) -> tuple[str, str | None, str | None]:

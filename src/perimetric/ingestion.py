@@ -41,6 +41,7 @@ from typing import Iterable, NamedTuple, NoReturn
 from perimetric.errors import (
     DuplicateId,
     GroupCycle,
+    PerimetricError,
     SnapshotSyntaxError,
     UnknownPrincipal,
     UnknownReference,
@@ -104,7 +105,10 @@ class TenantSnapshot:
         for alt in self.alternates:
             overrides = dict(alt.parents)
             nodes = [HierarchyNode(n.id, n.kind, overrides.get(n.id, n.parent)) for n in self.hierarchy]
-            alternates.append((alt.name, build_tree(nodes)))
+            try:
+                alternates.append((alt.name, build_tree(nodes)))
+            except PerimetricError as exc:  # name the hierarchy that failed, not only the node
+                raise type(exc)(f"alternate {alt.name!r}: {exc}") from None
         return HierarchyFamily(native=native, alternates=tuple(alternates))
 
     @cached_property
@@ -412,7 +416,7 @@ def _grant_index(snapshot: TenantSnapshot) -> dict[str, frozenset[Grant]]:
         inherited = [closure[gid] for gid in containers.get(principal, ())]
         if own is None and len(inherited) == 1:
             return inherited[0]
-        return frozenset(own or ()).union(*inherited)
+        return frozenset().union(own or (), *inherited)
 
     for gid in _check_groups_acyclic(snapshot.groups):
         closure[gid] = effective(gid)

@@ -262,9 +262,11 @@ class EffectiveDistance:
     the raw distance's diameter (the blast radius) exactly. Sets with a
     single access class are untouched.
 
-    Instances are bound to one grant set; only pairs from that set may
-    be queried. The dirty set (nodes with a write at or below them) is
-    built on first use; geometry over the set itself never needs it.
+    Instances are bound to one grant set; only pairs and subsets of that
+    set may be queried. A subset gets the closure's own distances: a write
+    left out of it still raises the merges it raised in the whole set. The
+    dirty set (nodes with a write at or below them) is built on first use;
+    geometry over the whole set never needs it.
     Scopes are not checked on construction (a snapshot's grants were
     checked when it was parsed): geometry checks the scopes it folds, and
     building the dirty set checks the set's own, so every query still
@@ -282,6 +284,8 @@ class EffectiveDistance:
                 "ultrametric closure needs write_weight below four times read_weight"
             )
         self._tree, self._model, self._grants = tree, model, tuple(grants)
+        # a set's length is its distinct count; a sequence may repeat a grant
+        self._distinct = len(grants) if isinstance(grants, (set, frozenset)) else len(set(self._grants))
 
     @cached_property
     def _dirty(self) -> set[str]:
@@ -305,7 +309,7 @@ class EffectiveDistance:
         weight = self._model.write_weight if (side_a or side_b) else self._model.read_weight
         return Fraction(weight, 1 << (2 * self._tree.canonical_level[top] + 1))
 
-    def geometry(self, grants: Iterable[Grant], own: bool = True) -> tuple[int, int, int, int]:
+    def geometry(self, grants: Iterable[Grant]) -> tuple[int, int, int, int]:
         """(n, radius, length, pair_sum) of the closure's dendrogram over the distinct `grants`.
 
         Heights are integers in units of 2**-21. At a node of level L, its grants and
@@ -313,18 +317,21 @@ class EffectiveDistance:
         r/2**(2L+1), then, if one is dirty, all at write height w/2**(2L+1). A merge of
         blocks of sizes s adds its height times len(s) - 1 to the tour length and times
         (sum(s)**2 - sum(s*s)) / 2 to the pair sum. The fold stops at the grants' lowest
-        common ancestor, whose top merge the tour crosses once more. With `own`, `grants`
-        is the closure's own set, so a subtree is dirty when one of its blocks is; else
-        the dirty set decides. The first unknown scope, in order, raises UnknownNode.
+        common ancestor, whose top merge the tour crosses once more. `grants` must be
+        drawn from the closure's own set. When they are all of it (as many distinct
+        grants), a subtree is dirty when one of its blocks is, and the dirty set is never
+        built; for a proper subset the dirty set decides, so every figure is the closure's
+        own distances over the subset. The first unknown scope, in order, raises UnknownNode.
         """
         tree = self._tree
         nodes, depth_of, level_of = tree.nodes, tree.depth, tree.canonical_level
         read, write = self._model.read_weight, self._model.write_weight
+        items = dict.fromkeys(grants)
+        own = len(items) == self._distinct
         raised_nodes = None if own else self._dirty
         # node -> count, size sum and size-square sum of its clean blocks, then of its dirty ones
         blocks: dict[str, list[int]] = {}
         by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]  # depth <= level
-        items = dict.fromkeys(grants)
         for grant in items:
             scope = grant.scope
             here = blocks.get(scope)
@@ -389,7 +396,7 @@ def raw_violates(grants: Sequence[Grant], tree: TenantTree, model: ImpactModel =
     That is when the reads' pair sum under the full closure exceeds that under their own.
     """
     reads = [g for g in grants if g.access is AccessClass.READ]
-    raised = EffectiveDistance(grants, tree, model).geometry(reads, own=False)[3]
+    raised = EffectiveDistance(grants, tree, model).geometry(reads)[3]
     return raised > EffectiveDistance(reads, tree, model).geometry(reads)[3]
 
 

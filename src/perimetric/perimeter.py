@@ -146,7 +146,11 @@ def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
 
 
 def perimeter(grants: Iterable[Grant], dist: DistFn) -> Fraction:
-    """Minimal cyclic tour length over the grant set; 0 for n <= 1."""
+    """Cyclic tour length over the grant set; 0 for n <= 1.
+
+    The minimal tour when `dist` is ultrametric, as an EffectiveDistance is;
+    on any other callable, the greedy tour's length, an upper bound on the minimum.
+    """
     return assess_principal("", grants, dist).perimeter
 
 
@@ -176,9 +180,12 @@ def is_ultracycle(grants: Iterable[Grant], dist: DistFn) -> Fraction | None:
 def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> PrincipalRisk:
     """Full risk record for one principal.
 
-    An EffectiveDistance folds its own grant set, in any order, into the
-    record in closed form (EffectiveDistance.geometry); any other distance
-    callable is evaluated once per pair into a matrix, over the sorted grants.
+    An EffectiveDistance folds its own grant set or a subset of it, in any
+    order, into the record in closed form (EffectiveDistance.geometry); any
+    other distance callable is evaluated once per pair into a matrix, over
+    the sorted grants. The perimeter is then the nearest-neighbor tour's
+    length from the first grant: minimal when the callable is ultrametric,
+    else an upper bound on the minimum.
     """
     if isinstance(dist, EffectiveDistance):
         return PrincipalRisk(spn, *dist.geometry(grants))

@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import perimetric
+from perimetric import errors
 from perimetric.cli import main
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants, serialize_snapshot
@@ -144,30 +145,39 @@ def test_scan_rejects_malformed_input():
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, named",
     [
-        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": "abc"}',
-        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": NaN}',
-        b'{"version": 1, "hierarchy": [{"id": "r\xff", "kind": "tenant_root"}]}',
-        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["a"], "spns": ["b"]}',
-        b'{"version": 1, "hierarchy": ' + b"[" * 100_000,
-        b'{"version": 1' + b"0" * 5000 + b', "hierarchy": [{"id": "root", "kind": "tenant_root"}]}',
-        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc-\\ud800"]}',
-        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc"],'
-        b' "assignments": [{"principal": [], "action": "a", "access": "read", "scope": "root"}]}',
-        b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc"],'
-        b' "assignments": [{"principal": "svc", "action": "a", "access": "read", "scope": {}}]}',
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": "abc"}', "'spns'"),
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": NaN}', "'spns'"),
+        (b'{"version": 1, "hierarchy": [{"id": "r\xff", "kind": "tenant_root"}]}', "UTF-8"),
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["a"], "spns": ["b"]}',
+         "duplicate key 'spns'"),
+        (b'{"version": 1, "hierarchy": ' + b"[" * 100_000, "nested too deeply"),
+        (b'{"version": 1' + b"0" * 5000 + b', "hierarchy": [{"id": "root", "kind": "tenant_root"}]}',
+         "too many digits"),
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc-\\ud800"]}',
+         "lone surrogate"),
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc"],'
+         b' "assignments": [{"principal": [], "action": "a", "access": "read", "scope": "root"}]}', "'principal'"),
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["svc"],'
+         b' "assignments": [{"principal": "svc", "action": "a", "access": "read", "scope": {}}]}', "'scope'"),
+        (b'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"},'
+         b' {"id": "s", "kind": "subscription", "parent": "root"},'
+         b' {"id": "s2", "kind": "subscription", "parent": "root"}],'
+         b' "alternates": [{"name": "a", "parents": {"s2": "s"}}]}',
+         "alternate 'a': subscription 's2' cannot attach to subscription 's'"),
     ],
     ids=["spns-string", "spns-nan", "non-utf8", "duplicate-key", "deep-nesting", "huge-integer",
-         "lone-surrogate", "principal-list", "scope-object"],
+         "lone-surrogate", "principal-list", "scope-object", "alternate-overlay"],
 )
-def test_scan_mistyped_input_exits_2_without_traceback(payload):
+def test_scan_mistyped_input_exits_2_without_traceback(payload, named):
     result = _run_cli(["scan", "-"], input=payload, capture_output=True)
     assert result.returncode == 2
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
     assert result.stderr.decode().startswith("error: ")
     assert len(result.stderr.decode().splitlines()) == 1
+    assert named in result.stderr.decode()
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -210,6 +220,27 @@ def test_unexpected_error_exits_3_with_one_line(monkeypatch):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "error: unexpected RuntimeError: first line second line\n"
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["scan", str(COUNTEREXAMPLE)], "assess_principal"),
+        (["bands", str(COUNTEREXAMPLE)], "band_report"),
+        (["check-family", str(COUNTEREXAMPLE)], "check_ultrametricity"),
+        (["explain", str(COUNTEREXAMPLE), "svc-counterexample"], "assess_principal"),
+    ],
+    ids=["scan", "bands", "check-family", "explain"],
+)
+def test_package_error_in_a_command_exits_3_with_its_message(args, name, monkeypatch):
+    def broken(*_, **__):
+        raise errors.UnbandableRadius("radius 3/7\nis in no band")
+
+    monkeypatch.setattr(f"perimetric.cli.{name}", broken)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert result.stderr == "error: radius 3/7 is in no band\n"
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,10 @@ loop, DistanceModel's integer matrix against the Fraction matrix of
 per-pair calls, raw_violates against a full triple scan of the raw
 distances, and infimum_distance against the minimum over the family.
 EffectiveDistance.geometry is checked against the merge list of the walk to
-the tree root it replaced, and assess_principal's closed form against
-reorderings of its input.
+the tree root it replaced, on the closure's whole set and on subsets of it,
+where assess_principal's closed form also meets the matrix path and the
+exhaustive tour; the closed form is also checked against reorderings of its
+input.
 """
 
 import random
@@ -394,40 +396,70 @@ def _oracle_geometry(dist, grants):
 def test_geometry_matches_the_walk_to_the_root(instance, data):
     tree, grants, model = instance
     dist = effective_distance(grants, tree, model)
-    # the closure's own set, in the input order and reversed, never builds the dirty set
-    own = [dist.geometry(seq) for seq in (grants, grants[::-1])]
+    # the closure's whole set, in the input order and reversed, never builds the dirty set
+    for seq in (grants, grants[::-1]):
+        dist.geometry(seq)
     assert "_dirty" not in vars(dist)
-    assert own == [_oracle_geometry(dist, grants)] * 2
-    # other sets read the dirty set: the reads (the raw_violates shape: the
-    # closure is built on every grant, folded on the reads) and a random
-    # sub-multiset of the grants, repeats and all
+    # the whole set, then sequences that read the dirty set: the reads (the
+    # raw_violates shape), random sub-multisets, repeats and all, one of them
+    # with every write dropped, and the empty set
     reads = [g for g in grants if g.access is READ]
     subset = data.draw(st.lists(st.sampled_from(grants), max_size=16)) if grants else []
-    for seq in (reads, subset):
-        assert dist.geometry(seq, own=False) == _oracle_geometry(dist, seq)
+    read_subset = data.draw(st.lists(st.sampled_from(reads), max_size=16)) if reads else []
+    for seq in (grants, grants[::-1], reads, subset, read_subset, []):
+        assert dist.geometry(seq) == _oracle_geometry(dist, seq)
+        # the closed form is the closure's own distances, pair by pair, over the subset too
+        risk = assess_principal("spn", seq, dist)
+        assert risk == assess_principal("spn", seq, lambda a, b: dist(a, b))
+        if 0 < risk.n <= BRUTE_FORCE_LIMIT:
+            assert risk.perimeter == brute_force_tour(sorted_grants(seq), dist)
     raised = merges_oracle(dist, reads) != merges_oracle(EffectiveDistance(reads, tree, model), reads)
     assert raw_violates(grants, tree, model) == raised
     # nothing at or above the lowest common ancestor of the folded set is read
     recorded = replace(tree, nodes=_Recorded(tree.nodes))
     dist._tree = recorded
-    for seq, is_own in ((grants, True), (reads, False)):
+    for seq in (grants, reads):
         recorded.nodes.read.clear()
-        dist.geometry(seq, own=is_own)
+        dist.geometry(seq)
         if seq:
             top = reduce(partial(lca, tree), (g.scope for g in seq))
             assert all(lca(tree, node, top) != node for node in recorded.nodes.read)
     dist._tree = tree
-    # an unknown scope anywhere in the sequence: the same first one named
+    # an unknown scope anywhere in the sequence, inserted (a larger set, which reads
+    # the dirty set) or in place of a grant (the whole set's size): the same first one named
     unknown = [Grant("z", data.draw(st.sampled_from(AccessClass)), ghost) for ghost in ("ghost", "phantom")]
-    seq = list(grants)
+    inserted = list(grants)
     for grant in unknown[: data.draw(st.integers(1, 2))]:
-        seq.insert(data.draw(st.integers(0, len(seq))), grant)
-    messages = []
-    for fold in (dist.geometry, partial(dist.geometry, own=False), partial(merges_oracle, dist)):
-        with pytest.raises(UnknownNode) as caught:
-            fold(seq)
-        messages.append(str(caught.value))
-    assert messages[0] == messages[1] == messages[2]
+        inserted.insert(data.draw(st.integers(0, len(inserted))), grant)
+    in_place = list(dict.fromkeys(grants))
+    for grant in unknown[: len(in_place)]:
+        in_place[data.draw(st.integers(0, len(in_place) - 1))] = grant
+    for seq in (inserted, in_place):
+        if not any(g in unknown for g in seq):
+            continue
+        messages = []
+        for fold in (dist.geometry, partial(merges_oracle, dist)):
+            with pytest.raises(UnknownNode) as caught:
+                fold(seq)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+
+def test_a_subset_keeps_the_writes_of_the_whole_set():
+    tree = build_tree([
+        HierarchyNode("root", NodeKind.TENANT_ROOT),
+        HierarchyNode("s1", NodeKind.SUBSCRIPTION, "root"),
+        HierarchyNode("s2", NodeKind.SUBSCRIPTION, "root"),
+    ])
+    r1, w1, r2 = Grant("r1", READ, "s1"), Grant("w1", WRITE, "s1"), Grant("r2", READ, "s2")
+    dist = effective_distance({r1, w1, r2}, tree)
+    # w1 dirties s1, so r1 meets r2 at the root's write height, 2/2, with or without w1
+    assert dist(r1, r2) == 1
+    subset = [r1, r2]
+    risk = assess_principal("spn", subset, dist)
+    assert (risk.blast_radius, risk.perimeter) == (1, 2)
+    assert risk.perimeter == brute_force_tour(subset, dist)
+    assert risk == assess_principal("spn", subset, lambda a, b: dist(a, b))
 
 
 @settings(max_examples=300, deadline=None)

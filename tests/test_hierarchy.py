@@ -120,15 +120,6 @@ def test_duplicate_node_id():
         ])
 
 
-def test_children_sorted_by_id():
-    tree = build_tree([
-        _node("root", NodeKind.TENANT_ROOT),
-        _node("sub-b", NodeKind.SUBSCRIPTION, "root"),
-        _node("sub-a", NodeKind.SUBSCRIPTION, "root"),
-    ])
-    assert tree.children["root"] == ("sub-a", "sub-b")
-
-
 def test_lca_reflexive():
     tree = random_tree(random.Random(1), max_nodes=20)
     for node_id in tree.nodes:

@@ -106,7 +106,7 @@ def test_closure_over_an_unknown_scope_raises_unknown_node(unknown, named):
     dist = EffectiveDistance(grants, tree)  # scopes are checked by the queries, not on construction
     queries = (
         lambda: dist(*known),
-        lambda: dist.geometry(known, own=False),
+        lambda: dist.geometry(known),  # a proper subset reads the dirty set
         lambda: dist.geometry(grants),
         lambda: raw_violates(grants, tree),
     )

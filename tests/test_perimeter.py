@@ -176,6 +176,21 @@ def test_perimeter_of_ultracycle_is_n_xi():
         assert perimeter(grants, DistanceModel(tree)) == n * Fraction(2, 2**17)
 
 
+def test_perimeter_on_raw_distances_is_the_greedy_tour():
+    # raw distances on a mixed read/write set are not ultrametric: the greedy
+    # tour 0, 1, 3, 2, 0 pays the write's 1 back to the root, the minimum 1/2 twice
+    tree = build_tree([
+        HierarchyNode("root", NodeKind.TENANT_ROOT),
+        HierarchyNode("s1", NodeKind.SUBSCRIPTION, "root"),
+        HierarchyNode("rg1", NodeKind.RESOURCE_GROUP, "s1"),
+    ])
+    grants = [Grant("a0", READ, "root"), Grant("a1", READ, "s1"), Grant("a2", WRITE, "s1"), Grant("a3", READ, "rg1")]
+    dist = DistanceModel(tree)
+    assert nn_tour(grants, dist).order == (0, 1, 3, 2, 0)
+    assert perimeter(grants, dist) == Fraction(49155, 32768)
+    assert brute_force_tour(grants, dist) == Fraction(8193, 8192)
+
+
 def test_mean_distance_values():
     tree, scopes = chain_tree()
     dist = DistanceModel(tree)
