@@ -27,6 +27,7 @@ from perimetric.ingestion import (
     resolve_effective_grants,
     serialize_snapshot,
 )
+from perimetric.kernels import SCALE
 from perimetric.metric import DistanceModel, check_ultrametricity, effective_distance, raw_violates
 from perimetric.perimeter import PrincipalRisk, assess_principal, nn_tour, sorted_grants
 from perimetric.ranking import (
@@ -261,15 +262,16 @@ def check_family(snapshot: str, limit: int) -> None:
             continue
         dirty += 1
         click.echo(f"spn {spn}: {len(triples)} violating triple(s)")
+        flat, n = dist.matrix(grants), len(grants)  # integers over kernels.SCALE
         for i, j, k in triples:
             gi, gj, gk = grants[i], grants[j], grants[k]
-            d_ij, d_jk, d_ik = dist(gi, gj), dist(gj, gk), dist(gi, gk)
+            d_ij, d_jk, d_ik = flat[i * n + j], flat[j * n + k], flat[i * n + k]
             unit = min(d_ij, d_jk, d_ik)
             click.echo(
-                f"  d3({gi.action}, {gj.action}) = {d_ij / unit}, "
-                f"d3({gj.action}, {gk.action}) = {d_jk / unit}, "
-                f"d3({gi.action}, {gk.action}) = {d_ik / unit} "
-                f"(unit: {fraction_str(unit)})"
+                f"  d3({gi.action}, {gj.action}) = {fraction_str(d_ij, unit)}, "
+                f"d3({gj.action}, {gk.action}) = {fraction_str(d_jk, unit)}, "
+                f"d3({gi.action}, {gk.action}) = {fraction_str(d_ik, unit)} "
+                f"(unit: {fraction_str(unit, SCALE)})"
             )
         if raw_violates(grants, parsed.native_tree()):
             click.echo(

@@ -37,6 +37,10 @@ class NodeKind(Enum):
     RESOURCE = "resource"
     RESOURCE_PART = "resource_part"
 
+    # members are singletons and Enum equality is identity, so the C-level
+    # identity hash agrees with it (Enum's own hashes the name in Python)
+    __hash__ = object.__hash__
+
 
 # Legal parent kinds per kind; None means the node must be parentless.
 _ALLOWED_PARENTS: dict[NodeKind, tuple[NodeKind, ...] | None] = {

@@ -8,6 +8,7 @@ fixed decimals are read off the unreduced quotient, and only the exact
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
@@ -32,8 +33,15 @@ def format_fixed(num: Fraction | int, den: int = 1, digits: int = 6) -> str:
 
 
 def fraction_str(num: Fraction | int, den: int = 1) -> str:
-    """Exact rational num / den as reduced 'p/q' (or a bare integer when q is 1)."""
-    return str(Fraction(num, den))
+    """Exact rational num / den, den positive, as reduced 'p/q' (or a bare integer when q is 1).
+
+    A Fraction num is divided by den.
+    """
+    if not isinstance(num, int) and isinstance(num, Fraction):
+        num, den = num.numerator, num.denominator * den
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def roman(n: int) -> str:

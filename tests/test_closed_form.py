@@ -21,6 +21,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
 from math import lcm
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -351,6 +352,70 @@ def test_integer_matrix_names_the_first_unknown_scope(hierarchy):
     # equal points are at 0 without a lookup, on both paths
     assert dist.matrix([grants[1]] * 3) == [0] * 9
     assert check_ultrametricity([grants[1]] * 3, lambda a, b: dist(a, b)) == []
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_key_decision_matches_the_cubic_scan_of_the_matrix(data):
+    family = data.draw(families())
+    grants = data.draw(grant_lists(family.native, max_size=16))
+    if grants:  # repeated grants, beside the same-key grants of other actions grant_lists draws
+        grants += data.draw(st.lists(st.sampled_from(grants), max_size=4))
+    # (2, 7) and (1, 5) weigh write at 3.5 and 5 reads, so a write pair can outweigh a read pair a level up
+    model = data.draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7), ImpactModel(1, 5)]))
+    dist = DistanceModel(family, model)
+    flat, n = dist.matrix(grants), len(grants)
+    for cap in (1, 7, 100):
+        oracle = triple_violations_cubic(flat, n, cap)
+        with patch.object(DistanceModel, "matrix", autospec=True, side_effect=DistanceModel.matrix) as matrix:
+            assert check_ultrametricity(grants, dist, limit=cap) == oracle
+        assert matrix.called == bool(oracle)  # only a dirty set builds its matrix
+
+
+def test_clean_2000_grant_principal_builds_no_matrix():
+    # three subscriptions of 10 x 10 resources; both alternates carry the one holding
+    # every grant under another management group, so neither is dropped as agreeing
+    nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT)]
+    nodes += [HierarchyNode(f"mg{m}", NodeKind.MANAGEMENT_GROUP, "root") for m in range(3)]
+    for s in range(3):
+        nodes.append(HierarchyNode(f"sub{s}", NodeKind.SUBSCRIPTION, f"mg{s}"))
+        for g in range(10):
+            nodes.append(HierarchyNode(f"rg{s}.{g}", NodeKind.RESOURCE_GROUP, f"sub{s}"))
+            nodes += [HierarchyNode(f"res{s}.{g}.{r}", NodeKind.RESOURCE, f"rg{s}.{g}") for r in range(10)]
+    native = build_tree(nodes)
+    alternates = tuple(
+        (f"alt{m}", build_tree([replace(node, parent=f"mg{m}") if node.id == "sub0" else node for node in nodes]))
+        for m in (1, 2)
+    )
+    scopes = ["sub0"] + [node.id for node in nodes if node.id.startswith(("rg0.", "res0."))]
+    grants = [Grant(f"a{i:02d}", READ, scope) for i in range(18) for scope in scopes][:2000]
+    dist = DistanceModel(HierarchyFamily(native, alternates))
+    with patch.object(DistanceModel, "matrix", autospec=True) as matrix:
+        assert check_ultrametricity(sorted_grants(grants), dist) == []
+    assert not matrix.called
+    # a write among them makes it dirty, and only then is the matrix built
+    dirty = [*grants[:40], Grant("w", WRITE, "res0.0.0")]
+    assert check_ultrametricity(dirty, dist, limit=1) == triple_violations_cubic(dist.matrix(dirty), len(dirty), 1) != []
+
+
+@pytest.mark.parametrize("hierarchy", ["tree", "family"])
+@pytest.mark.parametrize(
+    "order",
+    [("known", "ghost", "known"), ("known", "known", "ghost"), ("ghost", "other", "ghost")],
+    ids=["repeat-after", "repeat-before", "one-key-two-actions"],
+)
+def test_two_distinct_grants_and_a_repeat_still_check_their_scopes(hierarchy, order):
+    tree = chain_tree()[0]
+    dist = DistanceModel(HierarchyFamily(tree, (("copy", tree),)) if hierarchy == "family" else tree)
+    by_name = {"known": Grant("a", READ, "lvl03"), "ghost": Grant("b", READ, "ghost"), "other": Grant("c", READ, "ghost")}
+    grants = [by_name[name] for name in order]
+    messages = []
+    for call in (dist, lambda a, b: dist(a, b)):
+        with pytest.raises(UnknownNode) as caught:
+            check_ultrametricity(grants, call)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "'ghost'" in messages[0]
 
 
 def test_merges_show_a_write_raising_a_read_pair():

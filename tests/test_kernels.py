@@ -45,12 +45,20 @@ def test_callers_look_kernels_up_by_module_attribute(monkeypatch):
 
 
 def test_distance_model_scan_calls_only_the_triple_scan(monkeypatch):
+    # a clean set is decided on its (scope, access) keys: no kernel and no matrix;
+    # a dirty one builds its integer matrix and calls only the triple scan
     seen = _record_calls(monkeypatch, ("build_matrix", "try_scale", "nn_tour_flat", "violations_flat"))
+    matrix = DistanceModel.matrix
+    monkeypatch.setattr(DistanceModel, "matrix", lambda self, points: seen.append("matrix") or matrix(self, points))
     tree = chain_tree()[0]
-    family = HierarchyFamily(tree, (("copy", tree),))
-    grants = [Grant(a, AccessClass.READ, scope) for a, scope in (("x", "lvl09"), ("y", "lvl10"), ("z", "lvl03"))]
-    assert check_ultrametricity(grants, DistanceModel(family)) == []
-    assert seen == ["violations_flat"]
+    dist = DistanceModel(HierarchyFamily(tree, (("copy", tree),)))
+    reads = [Grant(a, AccessClass.READ, scope) for a, scope in (("x", "lvl09"), ("y", "lvl10"), ("z", "lvl03"))]
+    assert check_ultrametricity(reads, dist) == []
+    assert seen == []
+    # a write under a read, and a read higher up: the write pair is the longest side
+    mixed = [reads[0], Grant("y", AccessClass.WRITE, "lvl10"), reads[2]]
+    assert check_ultrametricity(mixed, dist) == [(1, 0, 2)]
+    assert seen == ["matrix", "violations_flat"]
 
 
 def test_nn_tour_tie_break_prefers_lowest_index():
