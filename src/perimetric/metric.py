@@ -305,7 +305,7 @@ def _clean_on_keys(points: Sequence[Grant], model: DistanceModel) -> bool:
     weights = (model.impact.read_weight, model.impact.write_weight)  # with one class, only its weight
     low, high = weights[min(accesses)], weights[max(accesses)]  # a pair weighs low when neither writes
     value = [[w << (kernels.SCALE_BITS - 1 - 2 * lv) for lv in range(MAX_LEVEL + 1)] + [-1] for w in (low, high)]
-    thresholds = {value[w][level] for w in (0, 1) for level in carried}  # level 11 (-1): no node, all apart
+    thresholds = {v[level] for v in value for level in carried}  # at level 11 (-1) no pair is below t
     cuts = {tuple(next(lv for lv, d in enumerate(v) if d < t) for v in value) for t in thresholds}
     tops = [[mark[scope][2] for mark in marks] for scope, _ in keys]
     for read_cut, write_cut in cuts:

@@ -288,6 +288,7 @@ def test_format_fixed_on_unreduced_parts_matches_fraction_oracle(num, den, k, di
     assert format_fixed(value, digits=digits) == format_fixed_fraction(value, digits)
     assert format_fixed(value, k, digits=digits) == format_fixed_fraction(value / k, digits)
     assert fraction_str(num * k, den * k) == str(value)
+    assert fraction_str(value) == str(value) and fraction_str(value, k) == str(value / k)
     # an exact tie at the last digit, unreduced: half-to-even on both
     tie = 2 * (num % 10**7) + 1, 2 * 10**digits
     assert format_fixed(tie[0] * k, tie[1] * k, digits=digits) == format_fixed_fraction(
@@ -388,7 +389,8 @@ def test_clean_2000_grant_principal_builds_no_matrix():
         for m in (1, 2)
     )
     scopes = ["sub0"] + [node.id for node in nodes if node.id.startswith(("rg0.", "res0."))]
-    grants = [Grant(f"a{i:02d}", READ, scope) for i in range(18) for scope in scopes][:2000]
+    grants = [Grant(f"a{i:02d}", READ, scope) for i in range(19) for scope in scopes][:2000]
+    assert len(set(grants)) == 2000
     dist = DistanceModel(HierarchyFamily(native, alternates))
     with patch.object(DistanceModel, "matrix", autospec=True) as matrix:
         assert check_ultrametricity(sorted_grants(grants), dist) == []
