@@ -262,10 +262,15 @@ def check_family(snapshot: str, limit: int) -> None:
             continue
         dirty += 1
         click.echo(f"spn {spn}: {len(triples)} violating triple(s)")
-        flat, n = dist.matrix(grants), len(grants)  # integers over kernels.SCALE
+        # a cell depends only on its pair, so the printed ones come from a matrix over just
+        # the grants the triples name (at most 3 * limit), in integers over kernels.SCALE
+        named = list(dict.fromkeys(index for triple in triples for index in triple))
+        flat, m = dist.matrix([grants[index] for index in named]), len(named)
+        at = {index: row for row, index in enumerate(named)}
         for i, j, k in triples:
             gi, gj, gk = grants[i], grants[j], grants[k]
-            d_ij, d_jk, d_ik = flat[i * n + j], flat[j * n + k], flat[i * n + k]
+            i, j, k = at[i], at[j], at[k]
+            d_ij, d_jk, d_ik = flat[i * m + j], flat[j * m + k], flat[i * m + k]
             unit = min(d_ij, d_jk, d_ik)
             click.echo(
                 f"  d3({gi.action}, {gj.action}) = {fraction_str(d_ij, unit)}, "

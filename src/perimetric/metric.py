@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
-from operator import itemgetter, or_
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from perimetric import kernels
@@ -249,76 +249,29 @@ def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, Tenan
     return levels
 
 
-def _clean_on_keys(points: Sequence[Grant], model: DistanceModel) -> bool:
-    """Whether `model` is ultrametric on `points`, decided on their distinct (scope, access) keys.
+def _one_tree_one_class(points: Sequence[Grant], model: DistanceModel) -> bool:
+    """Whether `points` hold one access class and every alternate gives their scopes their native root paths.
 
-    Two grants on one key are never the strictly longest side of a violating triple: every LCA
-    they share with a third scope is at or above their own. Alternates giving every key scope
-    its native root path are dropped, and one tree with one access class is clean. Else, for
-    each distance t, a key's "d < t" row ORs over trees the keys under its shallowest ancestor
-    of the level a read pair (or one with a write) needs to sit below t. "d < t" is an
-    equivalence, as an ultrametric needs, exactly when the distinct rows are disjoint.
-    Unknown scopes raise UnknownNode as in matrix().
+    Then each pair's LCA is one node in every tree, the infimum reads it at its deepest level
+    across the trees, and those levels still rise strictly down every path, so with one weight
+    the distance is ultrametric. Unknown scopes raise UnknownNode as in matrix(), once there
+    are two distinct points.
     """
     if len(set(points)) < 2:
         return True
+    if len({g.access for g in points}) > 1:
+        return False
     family = isinstance(model.hierarchy, HierarchyFamily)
     native = model.hierarchy.native if family else model.hierarchy
-    keys = list(dict.fromkeys((g.scope, g.access is AccessClass.WRITE) for g in points))
-    path: dict[str, str | None] = {}  # node on a key's native root path -> its parent
-    for scope, _ in keys:
+    path: dict[str, str | None] = {}  # node on a scope's native root path -> its parent
+    for scope in dict.fromkeys(g.scope for g in points):
         if scope not in native.nodes:
             raise UnknownNode(f"node {scope!r} not in tree" + (" (hierarchy 'native')" if family else ""))
         node = scope
         while node is not None and node not in path:
             path[node] = node = native.nodes[node].parent
-    alternates, levels = model.hierarchy.alternates if family else (), native.canonical_level
-    trees = [native] + [
-        tree
-        for _, tree in alternates
-        if any(tree.nodes[n].parent != p or tree.canonical_level[n] != levels[n] for n, p in path.items())
-    ]
-    accesses = {write for _, write in keys}
-    if len(keys) < 3 or (len(trees) == 1 and len(accesses) == 1):
-        return True
-    marks, carried = [], set()  # per tree, node -> [read keys under it, write keys under it, tops]
-    for tree in trees:
-        mark: dict[str, list] = {}
-        for i, (scope, write) in enumerate(keys):
-            node = scope
-            while node is not None and node not in mark:
-                mark[node] = [0, 0, None]
-                node = tree.nodes[node].parent
-            mark[scope][write] |= 1 << i
-        order = sorted(mark, key=tree.depth.__getitem__)
-        for node in order:  # tops[level]: the shallowest ancestor of that level or deeper; [11] is None
-            parent, level = tree.nodes[node].parent, tree.canonical_level[node]
-            above = mark[parent][2] if parent is not None else [None] * (MAX_LEVEL + 2)
-            mark[node][2] = [node if a is None else a for a in above[: level + 1]] + above[level + 1 :]
-            carried.add(level)
-        for node in reversed(order):
-            if (parent := tree.nodes[node].parent) is not None:
-                mark[parent][0] |= mark[node][0]
-                mark[parent][1] |= mark[node][1]
-        mark[None] = [0, 0, None]  # no ancestor deep enough: no keys
-        marks.append(mark)
-    weights = (model.impact.read_weight, model.impact.write_weight)  # with one class, only its weight
-    low, high = weights[min(accesses)], weights[max(accesses)]  # a pair weighs low when neither writes
-    value = [[w << (kernels.SCALE_BITS - 1 - 2 * lv) for lv in range(MAX_LEVEL + 1)] + [-1] for w in (low, high)]
-    thresholds = {v[level] for v in value for level in carried}  # at level 11 (-1) no pair is below t
-    cuts = {tuple(next(lv for lv, d in enumerate(v) if d < t) for v in value) for t in thresholds}
-    tops = [[mark[scope][2] for mark in marks] for scope, _ in keys]
-    for read_cut, write_cut in cuts:
-        rows = {}  # a key below t from no other key has row 0 and no bit in any row
-        for (scope, write), ups in zip(keys, tops):
-            far = tuple(up[write_cut] for up in ups)
-            near = far if write else tuple(up[read_cut] for up in ups)  # a write key's row is all under far
-            if (near, far) not in rows:
-                rows[near, far] = reduce(or_, [m[a][0] | m[b][1] for m, a, b in zip(marks, near, far)])
-        distinct = set(rows.values())
-        if sum(row.bit_count() for row in distinct) != reduce(or_, distinct).bit_count():
-            return False
-    return True
+    alternates = model.hierarchy.alternates if family else ()
+    return all(tree.nodes[n].parent == p for _, tree in alternates for n, p in path.items())
 
 
 class EffectiveDistance:
@@ -487,24 +440,24 @@ def check_ultrametricity(
     result means the distance is ultrametric on this point set.
 
     The path is chosen by the type of dist. A DistanceModel (one tree, or a
-    family's infimum) is never called per pair. It first decides on the
-    distinct (scope, access) keys whether the set is clean, with no matrix
-    (see _clean_on_keys): a clean 10,000-grant principal over three trees
-    takes a few hundredths of a second. Only a set found dirty fills an
+    family's infimum) is never called per pair. A set of one access class
+    whose alternates all give its scopes their native root paths is clean
+    and builds no matrix (see _one_tree_one_class): 10,000 such reads over
+    three trees take a few hundredths of a second. Any other set fills an
     integer matrix (DistanceModel.matrix) for the triple scan. Any other
     callable is called once per pair (kernels.build_matrix), and
     kernels.try_scale turns that matrix into integers over one exact unit;
     this is the oracle the integer path is tested against. Either way the
     scan compares integers. The matrix holds n * n cells, and a scan that
     stops short of `limit` ANDs two n-bit rows for every pair: about 2 s
-    for 2000 points, so keep dirty sets and other callables at or below
-    about 2000 points.
+    for 2000 points, so keep the sets that reach it at or below about
+    2000 points.
     """
     n = len(points)
     if n < 3:
         return []
     if isinstance(dist, DistanceModel):
-        if _clean_on_keys(points, dist):
+        if _one_tree_one_class(points, dist):
             return []
         flat = dist.matrix(points)
     else:

@@ -37,7 +37,7 @@ def fraction_str(num: Fraction | int, den: int = 1) -> str:
 
     A Fraction num is divided by den.
     """
-    if not isinstance(num, int) and isinstance(num, Fraction):
+    if isinstance(num, Fraction):
         num, den = num.numerator, num.denominator * den
     common = gcd(num, den)
     num, den = num // common, den // common

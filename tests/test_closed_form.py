@@ -357,11 +357,20 @@ def test_integer_matrix_names_the_first_unknown_scope(hierarchy):
 
 @settings(max_examples=400, deadline=None)
 @given(st.data())
-def test_key_decision_matches_the_cubic_scan_of_the_matrix(data):
+def test_distance_model_check_matches_the_cubic_scan_of_the_matrix(data):
     family = data.draw(families())
+    # some alternates are copies of the native tree, which agree on every scope and are dropped
+    copies = [data.draw(st.booleans()) for _ in family.alternates]
+    family = HierarchyFamily(family.native, tuple(
+        (name, build_tree(list(family.native.nodes.values())) if copy else tree)
+        for (name, tree), copy in zip(family.alternates, copies)
+    ))
     grants = data.draw(grant_lists(family.native, max_size=16))
     if grants:  # repeated grants, beside the same-key grants of other actions grant_lists draws
         grants += data.draw(st.lists(st.sampled_from(grants), max_size=4))
+    if data.draw(st.booleans()):  # one access class
+        access = data.draw(st.sampled_from(AccessClass))
+        grants = [grant._replace(access=access) for grant in grants]
     # (2, 7) and (1, 5) weigh write at 3.5 and 5 reads, so a write pair can outweigh a read pair a level up
     model = data.draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7), ImpactModel(1, 5)]))
     dist = DistanceModel(family, model)
@@ -370,12 +379,13 @@ def test_key_decision_matches_the_cubic_scan_of_the_matrix(data):
         oracle = triple_violations_cubic(flat, n, cap)
         with patch.object(DistanceModel, "matrix", autospec=True, side_effect=DistanceModel.matrix) as matrix:
             assert check_ultrametricity(grants, dist, limit=cap) == oracle
-        assert matrix.called == bool(oracle)  # only a dirty set builds its matrix
+        if not matrix.called:  # decided with no matrix: a clean set of one access class
+            assert oracle == [] and (n < 3 or len({grant.access for grant in grants}) == 1)
 
 
 def test_clean_2000_grant_principal_builds_no_matrix():
-    # three subscriptions of 10 x 10 resources; both alternates carry the one holding
-    # every grant under another management group, so neither is dropped as agreeing
+    # three subscriptions of 10 x 10 resources; every grant sits in sub0, and the
+    # alternates carry sub1 under another management group, so both agree on sub0
     nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT)]
     nodes += [HierarchyNode(f"mg{m}", NodeKind.MANAGEMENT_GROUP, "root") for m in range(3)]
     for s in range(3):
@@ -384,20 +394,51 @@ def test_clean_2000_grant_principal_builds_no_matrix():
             nodes.append(HierarchyNode(f"rg{s}.{g}", NodeKind.RESOURCE_GROUP, f"sub{s}"))
             nodes += [HierarchyNode(f"res{s}.{g}.{r}", NodeKind.RESOURCE, f"rg{s}.{g}") for r in range(10)]
     native = build_tree(nodes)
-    alternates = tuple(
-        (f"alt{m}", build_tree([replace(node, parent=f"mg{m}") if node.id == "sub0" else node for node in nodes]))
-        for m in (1, 2)
-    )
+
+    def moving(sub):
+        return tuple(
+            (f"alt{m}", build_tree([replace(node, parent=f"mg{m}") if node.id == sub else node for node in nodes]))
+            for m in (1, 2) if f"mg{m}" != native.nodes[sub].parent
+        )
+
     scopes = ["sub0"] + [node.id for node in nodes if node.id.startswith(("rg0.", "res0."))]
     grants = [Grant(f"a{i:02d}", READ, scope) for i in range(19) for scope in scopes][:2000]
     assert len(set(grants)) == 2000
-    dist = DistanceModel(HierarchyFamily(native, alternates))
+    dist = DistanceModel(HierarchyFamily(native, moving("sub1")))
     with patch.object(DistanceModel, "matrix", autospec=True) as matrix:
         assert check_ultrametricity(sorted_grants(grants), dist) == []
     assert not matrix.called
-    # a write among them makes it dirty, and only then is the matrix built
+    # a write among them, or alternates that move sub0 itself, send the set to the matrix
     dirty = [*grants[:40], Grant("w", WRITE, "res0.0.0")]
     assert check_ultrametricity(dirty, dist, limit=1) == triple_violations_cubic(dist.matrix(dirty), len(dirty), 1) != []
+    moved = DistanceModel(HierarchyFamily(native, moving("sub0")))
+    with patch.object(DistanceModel, "matrix", autospec=True, side_effect=DistanceModel.matrix) as matrix:
+        assert check_ultrametricity(grants[:200], moved) == []
+    assert matrix.called
+
+
+@pytest.mark.parametrize("first", ["moving", "copy"])
+def test_an_alternate_moving_an_ancestor_of_a_scope_sends_reads_to_the_matrix(first):
+    # part-b keeps its parent res-b, but one alternate moves res-b next to res-a: the infimum
+    # puts part-b a resource group from both res-a and res-c, which stay a subscription apart
+    nodes = [
+        HierarchyNode("root", NodeKind.TENANT_ROOT),
+        HierarchyNode("sub", NodeKind.SUBSCRIPTION, "root"),
+        HierarchyNode("rg-1", NodeKind.RESOURCE_GROUP, "sub"),
+        HierarchyNode("rg-2", NodeKind.RESOURCE_GROUP, "sub"),
+        HierarchyNode("res-a", NodeKind.RESOURCE, "rg-2"),
+        HierarchyNode("res-b", NodeKind.RESOURCE, "rg-1"),
+        HierarchyNode("res-c", NodeKind.RESOURCE, "rg-1"),
+        HierarchyNode("part-b", NodeKind.RESOURCE_PART, "res-b"),
+    ]
+    moving = ("moving", build_tree([replace(node, parent="rg-2") if node.id == "res-b" else node for node in nodes]))
+    copy = ("copy", build_tree(nodes))
+    alternates = (moving, copy) if first == "moving" else (copy, moving)
+    dist = DistanceModel(HierarchyFamily(build_tree(nodes), alternates))
+    grants = [Grant("r", READ, scope) for scope in ("part-b", "res-a", "res-c")]
+    found = check_ultrametricity(grants, dist)
+    assert found == triple_violations_cubic(dist.matrix(grants), 3, 100) != []
+    assert check_ultrametricity(grants, DistanceModel(HierarchyFamily(build_tree(nodes), (copy,)))) == []
 
 
 @pytest.mark.parametrize("hierarchy", ["tree", "family"])
