@@ -4,12 +4,13 @@ These run on a flat row-major matrix and serve the inputs that have no
 closed form and the test oracles. build_matrix calls a distance once per
 pair; check_ultrametricity skips it for a DistanceModel (raw-tree and
 family-infimum distances), which fills an integer matrix itself
-(DistanceModel.matrix) unless the set is one access class read on one
-tree, which is clean with no matrix. Every matrix a kernel sees holds
-plain integers over one exact unit: try_scale turns int and Fraction
-distances into integers over lcm(SCALE, every denominator), which is
-SCALE (2**21) for the dyadic distances of a tenant. Callers turn a
-result back into a Fraction over that unit, so every result is exact.
+(DistanceModel.matrix), or needs none for a set of one access class
+whose alternates leave its scopes' root paths alone. Every matrix a
+kernel sees holds plain integers over one exact unit: try_scale turns
+int and Fraction distances into integers over lcm(SCALE, every
+denominator), which is SCALE (2**21) for the dyadic distances of a
+tenant. Callers turn a result back into a Fraction over that unit, so
+every result is exact.
 """
 
 from __future__ import annotations
