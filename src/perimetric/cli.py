@@ -41,6 +41,11 @@ from perimetric.ranking import (
 from perimetric.render import format_fixed, fraction_str
 
 
+def _shown(text: str) -> str:
+    """`text` itself when printable, else its repr, so no id can add or end a report line."""
+    return text if text.isprintable() else repr(text)
+
+
 def _fail(message: str, code: int) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
@@ -228,7 +233,11 @@ def scan(snapshot: str, fmt: str, jobs: int) -> None:
 @click.option("--anonymize", is_flag=True, help="Shuffle rows and relabel bands with roman numerals.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Shuffle seed for --anonymize.")
 def bands(snapshot: str, fmt: str, anonymize: bool, seed: int) -> None:
-    """Per-band SPN counts and average spread ratios."""
+    """Per-band SPN counts and average spread ratios.
+
+    The no-permissions row counts every SPN of radius 0: fewer than two
+    distinct grants, so no grant at all or one with no pair to measure.
+    """
     risks = _assess_snapshot(_load(snapshot))
     rows = band_report(risks, anonymize=anonymize, seed=seed)
     no_permissions = sum(1 for r in risks if r.radius == 0)
@@ -261,21 +270,21 @@ def check_family(snapshot: str, limit: int) -> None:
         if not triples:
             continue
         dirty += 1
-        click.echo(f"spn {spn}: {len(triples)} violating triple(s)")
+        click.echo(f"spn {_shown(spn)}: {len(triples)} violating triple(s)")
         # a cell depends only on its pair, so the printed ones come from a matrix over just
         # the grants the triples name (at most 3 * limit), in integers over kernels.SCALE
         named = list(dict.fromkeys(index for triple in triples for index in triple))
         flat, m = dist.matrix([grants[index] for index in named]), len(named)
         at = {index: row for row, index in enumerate(named)}
         for i, j, k in triples:
-            gi, gj, gk = grants[i], grants[j], grants[k]
+            ai, aj, ak = (_shown(grants[index].action) for index in (i, j, k))
             i, j, k = at[i], at[j], at[k]
             d_ij, d_jk, d_ik = flat[i * m + j], flat[j * m + k], flat[i * m + k]
             unit = min(d_ij, d_jk, d_ik)
             click.echo(
-                f"  d3({gi.action}, {gj.action}) = {fraction_str(d_ij, unit)}, "
-                f"d3({gj.action}, {gk.action}) = {fraction_str(d_jk, unit)}, "
-                f"d3({gi.action}, {gk.action}) = {fraction_str(d_ik, unit)} "
+                f"  d3({ai}, {aj}) = {fraction_str(d_ij, unit)}, "
+                f"d3({aj}, {ak}) = {fraction_str(d_jk, unit)}, "
+                f"d3({ai}, {ak}) = {fraction_str(d_ik, unit)} "
                 f"(unit: {fraction_str(unit, SCALE)})"
             )
         if raw_violates(grants, parsed.native_tree()):
@@ -353,10 +362,10 @@ def explain(snapshot: str, spn: str) -> None:
     risk = assess_principal(spn, grants, dist)
     band = band_of(risk.radius, enumerate_bands(), risk.unit)
 
-    click.echo(f"spn: {spn}")
+    click.echo(f"spn: {_shown(spn)}")
     click.echo(f"grants ({risk.n}):")
     for idx, grant in enumerate(grants):
-        click.echo(f"  [{idx}] {grant.action} {grant.access.value} @ {grant.scope}")
+        click.echo(f"  [{idx}] {_shown(grant.action)} {grant.access.value} @ {_shown(grant.scope)}")
     if risk.n == 0:
         click.echo("tour: none (no grants)")
     elif risk.n == 1:
@@ -367,7 +376,8 @@ def explain(snapshot: str, spn: str) -> None:
         for a, b in zip(tour.order, tour.order[1:]):
             ga, gb = grants[a], grants[b]
             click.echo(
-                f"  [{a}] {ga.action} @ {ga.scope} -> [{b}] {gb.action} @ {gb.scope}"
+                f"  [{a}] {_shown(ga.action)} @ {_shown(ga.scope)}"
+                f" -> [{b}] {_shown(gb.action)} @ {_shown(gb.scope)}"
                 f"  d = {fraction_str(dist(ga, gb))}"
             )
     radius, length = (risk.radius, risk.unit), (risk.length, risk.unit)

@@ -62,6 +62,7 @@ _KIND_LEVELS = {
 }
 
 
+# Dataclasses, not NamedTuples: tree walks read a field on every step, and a dataclass reads it faster.
 @dataclass(frozen=True)
 class HierarchyNode:
     id: str

@@ -23,9 +23,11 @@ check runs, assignments are checked as tuples in one pass, and duplicates are
 dropped in input order before one sort. Scopes are checked here, once: the
 closures built on resolved grants do not check them again.
 
-Assignment, like Grant, is a tuple of its fields. The grant index keeps one
-Grant object per distinct (action, access, scope), shared by every principal
-that holds it, whether the snapshot was parsed or built with TenantSnapshot(...).
+Assignment, Group and AlternateHierarchy, like Grant, are tuples of their
+fields; TenantSnapshot stays a dataclass, for its cached properties. The grant
+index keeps one Grant object per distinct (action, access, scope), shared by
+every principal that holds it, whether the snapshot was parsed or built with
+TenantSnapshot(...).
 """
 
 from __future__ import annotations
@@ -65,14 +67,12 @@ class Assignment(NamedTuple):
     scope: str
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     id: str
     members: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AlternateHierarchy:
+class AlternateHierarchy(NamedTuple):
     """Named re-parenting overlay; pairs are (node id, new parent id)."""
 
     name: str

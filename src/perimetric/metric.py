@@ -154,8 +154,7 @@ def infimum_distance(
     return Fraction(pair_impact(a, b, model), 1 << (2 * level + 1))
 
 
-@dataclass(frozen=True)
-class DistanceModel:
+class DistanceModel(NamedTuple):
     """Callable pairing an impact model with a tree or family of trees."""
 
     hierarchy: TenantTree | HierarchyFamily

@@ -13,13 +13,13 @@ check the closed form against. That matrix holds integers over one exact
 unit (kernels.try_scale): 2**21 for dyadic distances, as on the closed
 form. Lengths stay integers over that unit inside; PrincipalRisk's
 properties and Tour.length are exact Fractions built from them. A
-PrincipalRisk is a tuple of its fields. The grants it is folded from are
-the snapshot index's shared Grant objects, whose scopes parse checked once.
+PrincipalRisk, like a Tour, is a tuple of its fields. The grants it is
+folded from are the snapshot index's shared Grant objects, whose scopes
+parse checked once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -32,8 +32,7 @@ BRUTE_FORCE_LIMIT = 9
 DistFn = Callable[[Grant, Grant], object]
 
 
-@dataclass(frozen=True)
-class Tour:
+class Tour(NamedTuple):
     """Cyclic visit order (start repeated at the end) and its exact length."""
 
     order: tuple[int, ...]

@@ -14,11 +14,10 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from perimetric.errors import NonCanonicalWeights, UnbandableRadius
 from perimetric.kernels import SCALE
@@ -46,8 +45,7 @@ class Regime(Enum):
     DISPERSED = "Dispersed"
 
 
-@dataclass(frozen=True)
-class Band:
+class Band(NamedTuple):
     value: Fraction
     level: int
     access: AccessClass
@@ -57,8 +55,7 @@ class Band:
         return f"{_LEVEL_LABELS[self.level]}:{self.access.value}"
 
 
-@dataclass(frozen=True)
-class BandReportRow:
+class BandReportRow(NamedTuple):
     label: str
     spn_count: int
     avg_spread_ratio: Fraction
@@ -138,9 +135,10 @@ def band_report(
     """One row per populated band with the average member spread ratio.
 
     Zero-radius principals are excluded; they belong in a separate
-    no-permissions section, not a band. With anonymize set, rows are
-    shuffled by the seeded permutation and relabeled I, II, III, ... in
-    shuffled order.
+    no-permissions section, not a band. Radius 0 means fewer than two
+    distinct grants, so that section counts principals with no grant and
+    those with exactly one. With anonymize set, rows are shuffled by the
+    seeded permutation and relabeled I, II, III, ... in shuffled order.
     """
     bands = enumerate_bands()
     buckets: dict[str, list[PrincipalRisk]] = {}
@@ -168,10 +166,7 @@ def band_report(
 
     if anonymize:
         random.Random(seed).shuffle(rows)
-        rows = [
-            replace(row, label=roman(i + 1), band=None)
-            for i, row in enumerate(rows)
-        ]
+        rows = [row._replace(label=roman(i + 1), band=None) for i, row in enumerate(rows)]
     return rows
 
 

@@ -366,6 +366,39 @@ def test_check_family_identical_alternate_is_clean():
     assert "no ultrametricity violations" in result.output
 
 
+# each would forge a report line, or reset the terminal, if printed raw
+HOSTILE = {
+    "svc-counterexample": "evil\nno ultrametricity violations found\x1bc",
+    "y": "y\nultracycle: yes\x1bc",
+    "res-y": "res-y\x1bc\nblast radius: 0.000001",
+}
+
+
+def _renamed(doc, names):
+    if isinstance(doc, dict):
+        return {key: _renamed(value, names) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_renamed(value, names) for value in doc]
+    return names.get(doc, doc)
+
+
+@pytest.mark.parametrize("command, code", [("check-family", 1), ("explain", 0)])
+def test_reports_show_unprintable_ids_escaped(command, code):
+    outputs = []
+    for names in ({}, HOSTILE):
+        doc = _renamed(json.loads(COUNTEREXAMPLE.read_text()), names)
+        args = [command, "-", *doc["spns"]] if command == "explain" else [command, "-"]
+        result = _invoke(args, input=json.dumps(doc))
+        assert result.exit_code == code
+        outputs.append(result.output)
+    plain, hostile = outputs
+    assert len(hostile.splitlines()) == len(plain.splitlines())
+    assert repr(HOSTILE["y"]) in hostile and "\x1b" not in hostile
+    for name, raw in HOSTILE.items():
+        hostile = hostile.replace(repr(raw), name)
+    assert hostile == plain  # each id shows as its repr, and nothing else changes
+
+
 def test_generate_deterministic_bytes():
     first = _invoke(["generate", "--seed", "0", "--spns", "10"])
     second = _invoke(["generate", "--seed", "0", "--spns", "10"])

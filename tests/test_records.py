@@ -1,20 +1,30 @@
-"""Grant, Assignment and PrincipalRisk are tuples of their fields; AccessClass hashes by identity."""
+"""Plain records are tuples of their fields, five classes stay dataclasses, AccessClass hashes by identity."""
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import perimetric
 from perimetric import kernels
-from perimetric.ingestion import Assignment
-from perimetric.metric import AccessClass, Grant
-from perimetric.perimeter import PrincipalRisk
+from perimetric.ingestion import AlternateHierarchy, Assignment, Group
+from perimetric.metric import DEFAULT_IMPACT, AccessClass, DistanceModel, Grant, ImpactModel
+from perimetric.perimeter import PrincipalRisk, Tour
+from perimetric.ranking import Band, BandReportRow, Regime
 
 READ = AccessClass.READ
 
 texts = st.text(min_size=1, max_size=4)
 accesses = st.sampled_from(AccessClass)
+fractions = st.fractions(min_value=0, max_value=1, max_denominator=64)
+bands = st.builds(Band, fractions, st.integers(0, 10), accesses)
 
 RECORDS = [
     (Grant, ("action", "access", "scope"), st.tuples(texts, accesses, texts)),
@@ -23,6 +33,25 @@ RECORDS = [
         PrincipalRisk,
         ("spn", "n", "radius", "length", "pair_sum", "unit"),
         st.tuples(texts, *[st.integers(0, 3)] * 4, st.sampled_from([kernels.SCALE, 3])),
+    ),
+    (Group, ("id", "members"), st.tuples(texts, st.lists(texts, max_size=3).map(tuple))),
+    (
+        AlternateHierarchy,
+        ("name", "parents"),
+        st.tuples(texts, st.lists(st.tuples(texts, texts), max_size=3).map(tuple)),
+    ),
+    # any hashable hierarchy makes a record of two fields; a call would need a tree
+    (
+        DistanceModel,
+        ("hierarchy", "impact"),
+        st.tuples(texts, st.sampled_from([DEFAULT_IMPACT, ImpactModel(1, 3)])),
+    ),
+    (Tour, ("order", "length"), st.tuples(st.lists(st.integers(0, 5), max_size=4).map(tuple), fractions)),
+    (Band, ("value", "level", "access"), st.tuples(fractions, st.integers(0, 10), accesses)),
+    (
+        BandReportRow,
+        ("label", "spn_count", "avg_spread_ratio", "regime", "band"),
+        st.tuples(texts, st.integers(0, 5), fractions, st.sampled_from(Regime), st.none() | bands),
     ),
 ]
 
@@ -50,6 +79,27 @@ def test_reprs_read_as_before():
     )
     assert repr(PrincipalRisk("svc", 1, 0, 0, 0)) == (
         f"PrincipalRisk(spn='svc', n=1, radius=0, length=0, pair_sum=0, unit={kernels.SCALE})"
+    )
+    assert repr(DistanceModel("tree")) == (
+        "DistanceModel(hierarchy='tree', impact=ImpactModel(read_weight=1, write_weight=2))"
+    )
+    assert repr(Band(Fraction(1, 2), 0, READ)) == (
+        "Band(value=Fraction(1, 2), level=0, access=<AccessClass.READ: 'read'>)"
+    )
+
+
+def test_only_five_classes_stay_dataclasses():
+    probe = (
+        "import dataclasses, inspect, json, sys; import perimetric.cli; "
+        "print(json.dumps(sorted(name for module in list(sys.modules) if module.startswith('perimetric') "
+        "for name, cls in inspect.getmembers(sys.modules[module], inspect.isclass) "
+        "if cls.__module__ == module and dataclasses.is_dataclass(cls))))"
+    )
+    src = str(Path(perimetric.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60)
+    assert json.loads(result.stdout) == sorted(
+        ["HierarchyNode", "TenantTree", "ImpactModel", "HierarchyFamily", "TenantSnapshot"]
     )
 
 
