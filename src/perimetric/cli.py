@@ -1,24 +1,26 @@
 """Command-line interface.
 
 Commands: scan, bands, check-family, generate, explain. Snapshots are
-read from a path or standard input (`-`). Exit codes are stable: 0 for
-success or a clean check, 1 when check-family finds violations, 2 for
-input and usage errors, 3 for an internal error: an invariant breach, or an
-exception no command handles, such as a failed write to stdout. Every
-error is one `error: ...` line on stderr, never a traceback. All output
-is a deterministic function of (input bytes, flags, seed).
+read from a path or standard input (`-`). Arguments are parsed with the
+standard library's argparse; the package has no runtime dependency. Exit
+codes are stable: 0 for success or a clean check, 1 when check-family
+finds violations, 2 for input and usage errors (a bare `perimetric`
+prints its help on stderr and exits 2), 3 for an internal error: an
+invariant breach, or an exception no command handles, such as a failed
+write to stdout. Every error is one `error: ...` line on stderr, never a
+traceback. All output is a deterministic function of (input bytes, flags,
+seed).
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
 import os
 import sys
 from typing import NoReturn, Sequence
-
-import click
 
 from perimetric import errors
 from perimetric.ingestion import (
@@ -47,27 +49,27 @@ def _shown(text: str) -> str:
 
 
 def _fail(message: str, code: int) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    if sys.stderr is not None:  # None when descriptor 2 is closed
+        sys.stderr.write(f"error: {message}\n")
     sys.exit(code)
 
 
-# a path, not an open file: click would open a file before checking the
-# parameters after it, and a usage error there leaves it open
-_SNAPSHOT_PATH = click.Path(dir_okay=False, allow_dash=True)
+def _usage_error(message: str) -> NoReturn:
+    _fail(" ".join(message.split()), 2)
 
 
 def _read(path: str) -> bytes:
     """The bytes of the file at `path`, or of standard input for `-`.
 
-    A file that cannot be opened or read is a usage error, worded as
-    click words it for a file argument.
+    A file that cannot be opened or read is a usage error that names it.
     """
     try:
-        with click.open_file(path, "rb") as handle:
+        if path == "-":
+            return sys.stdin.buffer.read()
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
-        message = f"'{click.format_filename(path)}': {exc.strerror}"
-        raise click.BadParameter(message, param_hint="'SNAPSHOT'") from None
+        _usage_error(f"argument SNAPSHOT: can't read '{path}': {exc.strerror}")
 
 
 def _load(path: str) -> TenantSnapshot:
@@ -145,49 +147,6 @@ def _render_scan_json(records: Sequence[tuple[PrincipalRisk, str | None]]) -> st
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-class _Main(click.Group):
-    """The command group: every error it sees ends in one `error:` line.
-
-    Click's usage errors (an unknown command or option, a bad value, a
-    missing or unreadable file) keep their exit code, 2, wherever they are
-    raised. An exception no command handles exits 3: a PerimetricError is
-    an invariant breach (input errors exit 2 where a command meets them) and
-    prints its message; any other, such as a failed write to stdout, is
-    named as unexpected. The commands' sys.exit codes, --help and the help
-    a bare `perimetric` prints pass through unchanged.
-    """
-
-    def make_context(self, *args, **kwargs) -> click.Context:
-        try:
-            return super().make_context(*args, **kwargs)
-        except click.exceptions.ClickException as exc:
-            _usage_error(exc)
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except click.exceptions.ClickException as exc:
-            _usage_error(exc)
-        except (click.exceptions.Exit, click.exceptions.Abort):
-            raise
-        except Exception as exc:
-            _release_stdout()
-            message = f"unexpected {type(exc).__name__}: {exc}"
-            if isinstance(exc, errors.PerimetricError):  # an invariant breach
-                message = str(exc)
-            _fail(" ".join(message.split()), 3)
-
-
-# click 8.2 and later raise this for a bare group; earlier versions print the help and exit 0
-_HELP_ERRORS = getattr(click.exceptions, "NoArgsIsHelpError", ())
-
-
-def _usage_error(exc: click.exceptions.ClickException) -> NoReturn:
-    if isinstance(exc, _HELP_ERRORS):
-        raise exc
-    _fail(" ".join(exc.format_message().split()), exc.exit_code)
-
-
 def _release_stdout() -> None:
     """Flush stdout; if that fails, point its descriptor at os.devnull.
 
@@ -207,55 +166,38 @@ def _release_stdout() -> None:
         os.close(devnull)
 
 
-@click.group(cls=_Main)
-def main() -> None:
-    """Blast-radius and data-perimeter analytics over tenant snapshots."""
-
-
-@main.command()
-@click.argument("snapshot", type=_SNAPSHOT_PATH)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Accepted for compatibility and ignored; scan runs in one thread.")
-def scan(snapshot: str, fmt: str, jobs: int) -> None:
+def scan(args: argparse.Namespace) -> None:
     """Rank every SPN by blast radius, breaking ties with the perimeter.
 
     Distances are computed over the native hierarchy; use check-family to
     audit alternate-hierarchy infima before trusting them.
     """
-    records = _scan_records(_load(snapshot))
-    click.echo(_render_scan_csv(records) if fmt == "csv" else _render_scan_json(records), nl=False)
+    records = _scan_records(_load(args.snapshot))
+    print(_render_scan_csv(records) if args.format == "csv" else _render_scan_json(records), end="")
 
 
-@main.command()
-@click.argument("snapshot", type=_SNAPSHOT_PATH)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--anonymize", is_flag=True, help="Shuffle rows and relabel bands with roman numerals.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Shuffle seed for --anonymize.")
-def bands(snapshot: str, fmt: str, anonymize: bool, seed: int) -> None:
+def bands(args: argparse.Namespace) -> None:
     """Per-band SPN counts and average spread ratios.
 
     The no-permissions row counts every SPN of radius 0: fewer than two
     distinct grants, so no grant at all or one with no pair to measure.
     """
-    risks = _assess_snapshot(_load(snapshot))
-    rows = band_report(risks, anonymize=anonymize, seed=seed)
+    risks = _assess_snapshot(_load(args.snapshot))
+    rows = band_report(risks, anonymize=args.anonymize, seed=args.seed)
     no_permissions = sum(1 for r in risks if r.radius == 0)
-    render = render_band_report_csv if fmt == "csv" else render_band_report_json
-    click.echo(render(rows, no_permissions), nl=False)
+    render = render_band_report_csv if args.format == "csv" else render_band_report_json
+    print(render(rows, no_permissions), end="")
 
 
-@main.command("check-family")
-@click.argument("snapshot", type=_SNAPSHOT_PATH)
-@click.option("--limit", type=click.IntRange(min=1), default=100, show_default=True,
-              help="Max violations reported per SPN.")
-def check_family(snapshot: str, limit: int) -> None:
+def check_family(args: argparse.Namespace) -> int:
     """Audit pointwise-infimum distances over the alternate hierarchies.
 
     Exits 1 when any SPN's infimum distances break the strong triangle
     inequality, 0 when clean, 2 when the snapshot has no alternates.
     """
-    parsed = _load(snapshot)
+    if args.limit < 1:
+        _usage_error(f"argument --limit: {args.limit} is not at least 1")
+    parsed = _load(args.snapshot)
     if not parsed.alternates:
         _fail("snapshot declares no alternate hierarchies; nothing to check", 2)
     dist = DistanceModel(parsed.family())
@@ -266,11 +208,11 @@ def check_family(snapshot: str, limit: int) -> None:
         if len(grants) < 3:
             continue
         checked += 1
-        triples = check_ultrametricity(grants, dist, limit=limit)
+        triples = check_ultrametricity(grants, dist, limit=args.limit)
         if not triples:
             continue
         dirty += 1
-        click.echo(f"spn {_shown(spn)}: {len(triples)} violating triple(s)")
+        print(f"spn {_shown(spn)}: {len(triples)} violating triple(s)")
         # a cell depends only on its pair, so the printed ones come from a matrix over just
         # the grants the triples name (at most 3 * limit), in integers over kernels.SCALE
         named = list(dict.fromkeys(index for triple in triples for index in triple))
@@ -281,63 +223,44 @@ def check_family(snapshot: str, limit: int) -> None:
             i, j, k = at[i], at[j], at[k]
             d_ij, d_jk, d_ik = flat[i * m + j], flat[j * m + k], flat[i * m + k]
             unit = min(d_ij, d_jk, d_ik)
-            click.echo(
+            print(
                 f"  d3({ai}, {aj}) = {fraction_str(d_ij, unit)}, "
                 f"d3({aj}, {ak}) = {fraction_str(d_jk, unit)}, "
                 f"d3({ai}, {ak}) = {fraction_str(d_ik, unit)} "
                 f"(unit: {fraction_str(unit, SCALE)})"
             )
         if raw_violates(grants, parsed.native_tree()):
-            click.echo(
+            print(
                 "  note: raw pairwise distances violate under the native tree alone "
                 "(mixed read/write grants); scan already repairs this via the closure"
             )
-    click.echo(
-        f"checked {checked} spn(s) against {len(parsed.alternates)} alternate hierarchy(ies)"
-    )
+    print(f"checked {checked} spn(s) against {len(parsed.alternates)} alternate hierarchy(ies)")
     if dirty:
-        click.echo(f"infimum distances are not ultrametric for {dirty} spn(s)")
-        click.echo("recommendation: fall back to the native hierarchy for perimeter computations")
-        sys.exit(1)
-    click.echo("no ultrametricity violations found")
+        print(f"infimum distances are not ultrametric for {dirty} spn(s)")
+        print("recommendation: fall back to the native hierarchy for perimeter computations")
+        return 1
+    print("no ultrametricity violations found")
+    return 0
 
 
-@main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--spns", type=int, default=None, help="SPN count for --archetype.")
-@click.option(
-    "--archetype",
-    type=click.Choice(["tight", "dispersed", "mixed"]),
-    default="mixed",
-    show_default=True,
-)
-@click.option("--tight", type=int, default=None, help="Explicit tight SPN count.")
-@click.option("--dispersed", type=int, default=None, help="Explicit dispersed SPN count.")
-@click.option("--mixed", type=int, default=None, help="Explicit mixed SPN count.")
-@click.option("--management-groups", type=int, default=3, show_default=True)
-@click.option("--subscriptions", type=int, default=4, show_default=True)
-@click.option("--resource-groups", type=int, default=2, show_default=True, help="Per subscription.")
-@click.option("--resources", type=int, default=3, show_default=True, help="Per resource group.")
-@click.option("--parts", type=int, default=1, show_default=True, help="Per resource.")
-def generate(seed, spns, archetype, tight, dispersed, mixed, management_groups,
-             subscriptions, resource_groups, resources, parts) -> None:
+def generate(args: argparse.Namespace) -> None:
     """Emit a deterministic synthetic tenant snapshot on standard output."""
     from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 
-    explicit = {"tight": tight, "dispersed": dispersed, "mixed": mixed}
-    if spns is not None and any(v is not None for v in explicit.values()):
+    explicit = {"tight": args.tight, "dispersed": args.dispersed, "mixed": args.mixed}
+    if args.spns is not None and any(v is not None for v in explicit.values()):
         _fail("--spns cannot be combined with --tight/--dispersed/--mixed", 2)
     counts = {key: value or 0 for key, value in explicit.items()}
-    if spns is not None:
-        counts[archetype] = spns
+    if args.spns is not None:
+        counts[args.archetype] = args.spns
     try:
         config = GeneratorConfig(
-            seed=seed,
-            management_groups=management_groups,
-            subscriptions=subscriptions,
-            resource_groups_per_subscription=resource_groups,
-            resources_per_resource_group=resources,
-            parts_per_resource=parts,
+            seed=args.seed,
+            management_groups=args.management_groups,
+            subscriptions=args.subscriptions,
+            resource_groups_per_subscription=args.resource_groups,
+            resources_per_resource_group=args.resources,
+            parts_per_resource=args.parts,
             tight_spns=counts["tight"],
             dispersed_spns=counts["dispersed"],
             mixed_spns=counts["mixed"],
@@ -345,15 +268,13 @@ def generate(seed, spns, archetype, tight, dispersed, mixed, management_groups,
         snapshot = generate_synthetic_tenant(config)
     except errors.PerimetricError as exc:
         _fail(str(exc), 2)
-    click.echo(serialize_snapshot(snapshot), nl=False)
+    print(serialize_snapshot(snapshot), end="")
 
 
-@main.command()
-@click.argument("snapshot", type=_SNAPSHOT_PATH)
-@click.argument("spn")
-def explain(snapshot: str, spn: str) -> None:
+def explain(args: argparse.Namespace) -> None:
     """Per-SPN breakdown: grants, tour edges, radius, perimeter, ratios."""
-    parsed = _load(snapshot)
+    spn = args.spn
+    parsed = _load(args.snapshot)
     try:
         grants = sorted_grants(resolve_effective_grants(spn, parsed))
     except errors.PerimetricError as exc:
@@ -362,36 +283,113 @@ def explain(snapshot: str, spn: str) -> None:
     risk = assess_principal(spn, grants, dist)
     band = band_of(risk.radius, enumerate_bands(), risk.unit)
 
-    click.echo(f"spn: {_shown(spn)}")
-    click.echo(f"grants ({risk.n}):")
+    print(f"spn: {_shown(spn)}")
+    print(f"grants ({risk.n}):")
     for idx, grant in enumerate(grants):
-        click.echo(f"  [{idx}] {_shown(grant.action)} {grant.access.value} @ {_shown(grant.scope)}")
+        print(f"  [{idx}] {_shown(grant.action)} {grant.access.value} @ {_shown(grant.scope)}")
     if risk.n == 0:
-        click.echo("tour: none (no grants)")
+        print("tour: none (no grants)")
     elif risk.n == 1:
-        click.echo("tour: single grant, length 0")
+        print("tour: single grant, length 0")
     else:
         tour = nn_tour(grants, dist, start=0)
-        click.echo("tour (nearest-neighbor from index 0):")
+        print("tour (nearest-neighbor from index 0):")
         for a, b in zip(tour.order, tour.order[1:]):
             ga, gb = grants[a], grants[b]
-            click.echo(
+            print(
                 f"  [{a}] {_shown(ga.action)} @ {_shown(ga.scope)}"
                 f" -> [{b}] {_shown(gb.action)} @ {_shown(gb.scope)}"
                 f"  d = {fraction_str(dist(ga, gb))}"
             )
     radius, length = (risk.radius, risk.unit), (risk.length, risk.unit)
-    click.echo(
+    print(
         f"blast radius: {format_fixed(*radius)} ({fraction_str(*radius)})"
         f"  band: {band.label if band else '-'}"
     )
-    click.echo(f"perimeter: {format_fixed(*length)} ({fraction_str(*length)})")
-    click.echo(f"mean distance: {format_fixed(*risk.mean_parts)} ({fraction_str(*risk.mean_parts)})")
-    click.echo(f"spread ratio: {format_fixed(*risk.spread_parts)} ({fraction_str(*risk.spread_parts)})")
+    print(f"perimeter: {format_fixed(*length)} ({fraction_str(*length)})")
+    print(f"mean distance: {format_fixed(*risk.mean_parts)} ({fraction_str(*risk.mean_parts)})")
+    print(f"spread ratio: {format_fixed(*risk.spread_parts)} ({fraction_str(*risk.spread_parts)})")
     if risk.ultracycle is not None:
-        click.echo(f"ultracycle: yes (xi = {fraction_str(*radius)})")
+        print(f"ultracycle: yes (xi = {fraction_str(*radius)})")
     else:
-        click.echo("ultracycle: no")
+        print("ultracycle: no")
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, its subcommands' too, whose usage errors end in one `error:` line and exit 2.
+
+    Options must be spelled in full: an abbreviation is an unknown option.
+    """
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> NoReturn:
+        _usage_error(message)
+
+
+def _parser() -> _Parser:
+    parser = _Parser(
+        prog="perimetric", description="Blast-radius and data-perimeter analytics over tenant snapshots."
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+    sub = {}
+    for run in (scan, bands, check_family, generate, explain):
+        name, doc = run.__name__.replace("_", "-"), run.__doc__ or ""
+        sub[name] = commands.add_parser(name, help=doc.partition("\n")[0], description=doc)
+        sub[name].set_defaults(run=run)
+        if run is not generate:
+            sub[name].add_argument("snapshot", metavar="SNAPSHOT", help="A snapshot file, or - for stdin.")
+    default = " (default: %(default)s)"
+    for name in ("scan", "bands"):
+        sub[name].add_argument("--format", choices=("csv", "json"), default="csv", help="Format." + default)
+    option = sub["scan"].add_argument
+    option("--jobs", type=int, default=1, metavar="N",
+           help="Accepted for compatibility and ignored; scan runs in one thread." + default)
+    option = sub["bands"].add_argument
+    option("--anonymize", action="store_true", help="Shuffle rows and relabel bands with roman numerals.")
+    option("--seed", type=int, default=0, metavar="N", help="Shuffle seed for --anonymize." + default)
+    option = sub["check-family"].add_argument
+    option("--limit", type=int, default=100, metavar="N", help="Max violations reported per SPN." + default)
+    sub["explain"].add_argument("spn", metavar="SPN")
+    option = sub["generate"].add_argument
+    option("--seed", type=int, default=0, metavar="N", help="Generator seed." + default)
+    option("--spns", type=int, metavar="N", help="SPN count for --archetype.")
+    option("--archetype", choices=("tight", "dispersed", "mixed"), default="mixed", help="For --spns." + default)
+    for archetype in ("tight", "dispersed", "mixed"):
+        option(f"--{archetype}", type=int, metavar="N", help=f"Explicit {archetype} SPN count.")
+    option("--management-groups", type=int, default=3, metavar="N", help="Count." + default)
+    option("--subscriptions", type=int, default=4, metavar="N", help="Subscription count." + default)
+    option("--resource-groups", type=int, default=2, metavar="N", help="Per subscription." + default)
+    option("--resources", type=int, default=3, metavar="N", help="Per resource group." + default)
+    option("--parts", type=int, default=1, metavar="N", help="Per resource." + default)
+    return parser
+
+
+def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
+    """Run one command line: `args`, or sys.argv[1:] when None.
+
+    Returns when the command succeeds; otherwise exits with its code. An
+    exception no command handles exits 3: a PerimetricError is an invariant
+    breach (input errors exit 2 where a command meets them) and prints its
+    message, any other is named as unexpected. `standalone_mode` changes
+    nothing; it is kept for perfbench's in-process runs, which pass it.
+    """
+    parser = _parser()
+    parsed = parser.parse_args(args)
+    if parsed.command is None:
+        parser.print_help(sys.stderr)
+        sys.exit(2)
+    try:
+        code = parsed.run(parsed)
+        if sys.stdout is not None:  # None when descriptor 1 is closed; print then writes nothing
+            sys.stdout.flush()  # a failed write to a buffered stdout shows here, not at exit
+    except Exception as exc:
+        _release_stdout()
+        message = str(exc) if isinstance(exc, errors.PerimetricError) else f"unexpected {type(exc).__name__}: {exc}"
+        _fail(" ".join(message.split()), 3)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 import random
 import re
+import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -13,6 +16,7 @@ from itertools import permutations
 from hypothesis import strategies as st
 
 from perimetric import kernels
+from perimetric.cli import main
 from perimetric.errors import (
     DuplicateId,
     SnapshotSyntaxError,
@@ -42,6 +46,38 @@ from perimetric.ingestion import (
 )
 from perimetric.metric import AccessClass, DistanceModel, EffectiveDistance, Grant
 from perimetric.perimeter import sorted_grants, spread_ratio
+
+@dataclass(frozen=True)
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        """Stdout, then stderr."""
+        return self.stdout + self.stderr
+
+
+def invoke(args, input: str | bytes | None = None) -> CliResult:
+    """Run `perimetric.cli.main(args)` in this process, with `input` on standard input.
+
+    Stdout and stderr are captured as text. Only SystemExit is caught, so any
+    other exception that escapes `main` fails the calling test.
+    """
+    data = input.encode("utf-8") if isinstance(input, str) else input or b""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    exit_code = 0
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            main(list(args))
+    except SystemExit as exc:
+        exit_code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    finally:
+        sys.stdin = saved_stdin
+    return CliResult(exit_code, stdout.getvalue(), stderr.getvalue())
+
 
 # One node per canonical level 0..10: root, mg1..mg6, sub, rg, res, part.
 _CHAIN_KINDS = (

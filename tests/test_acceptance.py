@@ -13,9 +13,6 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from perimetric.cli import main as cli_main
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants
 from perimetric.metric import DistanceModel, check_ultrametricity, effective_distance
@@ -30,12 +27,10 @@ from perimetric.perimeter import (
 from perimetric.ranking import band_of, band_report, enumerate_bands
 from perimetric.render import format_fixed
 
-from helpers import chain_tree, grants_at, random_grants, random_tree
+from helpers import chain_tree, grants_at, invoke, random_grants, random_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTEREXAMPLE = FIXTURES / "counterexample_family.json"
-
-runner = CliRunner()
 
 FUZZ_SEED = 0x5EED
 FUZZ_COUNT = 1000
@@ -143,7 +138,7 @@ def test_criterion_5_pointwise_minimum_counterexample():
     violations = check_ultrametricity(["x", "y", "z"], pointwise_min)
     assert violations == [(0, 1, 2)]
 
-    result = runner.invoke(cli_main, ["check-family", str(COUNTEREXAMPLE)])
+    result = invoke(["check-family", str(COUNTEREXAMPLE)])
     assert result.exit_code == 1
     assert "d3(x, y) = 1" in result.output
     assert "d3(y, z) = 1" in result.output
@@ -212,23 +207,23 @@ def test_criterion_7_regimes():
 @criterion(8, "determinism")
 def test_criterion_8_byte_identical_outputs():
     gen_args = ["generate", "--seed", "0", "--tight", "12", "--dispersed", "12", "--mixed", "12"]
-    first = runner.invoke(cli_main, gen_args)
-    second = runner.invoke(cli_main, gen_args)
+    first = invoke(gen_args)
+    second = invoke(gen_args)
     assert first.exit_code == second.exit_code == 0
     assert first.output == second.output
 
     snapshot = first.output
     scans = [
-        runner.invoke(cli_main, ["scan", "-", "--jobs", str(jobs), "--format", fmt], input=snapshot).output
+        invoke(["scan", "-", "--jobs", str(jobs), "--format", fmt], input=snapshot).output
         for jobs in (1, 4)
         for fmt in ("csv", "json")
     ]
     assert scans[0] == scans[2] and scans[1] == scans[3]
-    rescan = runner.invoke(cli_main, ["scan", "-"], input=snapshot).output
+    rescan = invoke(["scan", "-"], input=snapshot).output
     assert rescan == scans[0]
 
-    bands_a = runner.invoke(cli_main, ["bands", "-", "--anonymize", "--seed", "11"], input=snapshot)
-    bands_b = runner.invoke(cli_main, ["bands", "-", "--anonymize", "--seed", "11"], input=snapshot)
+    bands_a = invoke(["bands", "-", "--anonymize", "--seed", "11"], input=snapshot)
+    bands_b = invoke(["bands", "-", "--anonymize", "--seed", "11"], input=snapshot)
     assert bands_a.output == bands_b.output and bands_a.exit_code == 0
     return "generate/scan/bands byte-identical, including --jobs 4 and --format json"
 

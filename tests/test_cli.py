@@ -6,25 +6,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import perimetric
 from perimetric import errors
-from perimetric.cli import main
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants, serialize_snapshot
 from perimetric.metric import effective_distance
 from perimetric.perimeter import assess_principal
 from perimetric.ranking import rank_spns
 
+from helpers import invoke
+
 FIXTURES = Path(__file__).parent / "fixtures"
 COUNTEREXAMPLE = FIXTURES / "counterexample_family.json"
-
-runner = CliRunner()
-
-
-def _invoke(args, **kwargs):
-    return runner.invoke(main, args, catch_exceptions=False, **kwargs)
 
 
 def _run_cli(args, unbuffered=False, python_flags=(), **kwargs):
@@ -81,7 +75,7 @@ def _two_cluster_text():
 
 
 def test_scan_empty_snapshot():
-    result = _invoke(["scan", "-"], input=_snapshot_text())
+    result = invoke(["scan", "-"], input=_snapshot_text())
     assert result.exit_code == 0
     assert result.output == "spn,n,blast_radius,band,perimeter,mean_distance,spread_ratio,ultracycle\n"
 
@@ -95,14 +89,29 @@ def test_scan_tenant_wide_write_tops_ranking():
             {"principal": "svc-small", "action": "ReadBlob", "access": "read", "scope": "sub-1"},
         ],
     )
-    result = _invoke(["scan", "-"], input=text)
+    result = invoke(["scan", "-"], input=text)
     assert result.exit_code == 0
     first_row = result.output.splitlines()[1]
     assert first_row.startswith("svc-big,2,1.000000,tenant:write,")
 
 
+def test_scan_csv_prints_ids_verbatim_on_a_pipe():
+    # an id that differs from another only by an ANSI escape must not print as that other id
+    spns = ["evil\x1b[31mred", "evilred"]
+    text = _snapshot_text(
+        spns=spns,
+        assignments=[
+            {"principal": spn, "action": "ReadBlob", "access": "read", "scope": "sub-1"} for spn in spns
+        ],
+    )
+    result = _run_cli(["scan", "--format", "csv", "-"], input=text.encode("utf-8"), capture_output=True)
+    assert result.returncode == 0, result.stderr
+    printed = [row.split(",")[0] for row in result.stdout.decode("utf-8").splitlines()[1:]]
+    assert sorted(printed) == sorted(spns)
+
+
 def test_scan_zero_grant_spn_has_no_band():
-    result = _invoke(["scan", "-"], input=_snapshot_text(spns=["svc-idle"]))
+    result = invoke(["scan", "-"], input=_snapshot_text(spns=["svc-idle"]))
     assert "svc-idle,0,0.000000,-,0.000000,0.000000,1.000000,false" in result.output
 
 
@@ -116,7 +125,7 @@ def test_scan_ordering_matches_rank_spns():
         grants = resolve_effective_grants(spn, snapshot)
         risks.append(assess_principal(spn, grants, effective_distance(grants, tree)))
     expected = [r.spn for r in rank_spns(risks)]
-    result = _invoke(["scan", "-"], input=serialize_snapshot(snapshot))
+    result = invoke(["scan", "-"], input=serialize_snapshot(snapshot))
     got = [line.split(",")[0] for line in result.output.splitlines()[1:]]
     assert got == expected
 
@@ -129,7 +138,7 @@ def test_scan_json_exposes_exact_values():
             {"principal": "svc-1", "action": "ReadSecret", "access": "read", "scope": "sub-2"},
         ],
     )
-    result = _invoke(["scan", "-", "--format", "json"], input=text)
+    result = invoke(["scan", "-", "--format", "json"], input=text)
     doc = json.loads(result.output)
     record = doc["records"][0]
     assert record["blast_radius_exact"] == "1/2"
@@ -139,7 +148,7 @@ def test_scan_json_exposes_exact_values():
 
 
 def test_scan_rejects_malformed_input():
-    result = _invoke(["scan", "-"], input="{ not json")
+    result = invoke(["scan", "-"], input="{ not json")
     assert result.exit_code == 2
     assert "error:" in result.stderr
 
@@ -182,16 +191,36 @@ def test_scan_mistyped_input_exits_2_without_traceback(payload, named):
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("command", ["scan", "check-family"])
+@pytest.mark.parametrize(
+    "command", [["scan"], ["check-family"], ["bands"], ["explain", "svc-counterexample"]],
+    ids=["scan", "check-family", "bands", "explain"],
+)
 def test_stdout_write_failure_exits_3_without_traceback(command, unbuffered):
     # every write to /dev/full fails with ENOSPC; a buffered stdout fails again at exit
+    verb, *rest = command
     with open("/dev/full", "wb") as full:
-        result = _run_cli([command, str(COUNTEREXAMPLE)], unbuffered, stdout=full, stderr=subprocess.PIPE)
+        result = _run_cli([verb, str(COUNTEREXAMPLE), *rest], unbuffered, stdout=full, stderr=subprocess.PIPE)
     stderr = result.stderr.decode()
     assert result.returncode == 3
     assert "Traceback" not in stderr
     assert stderr.startswith("error: ")
     assert len(stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args, fd, code",
+    [
+        (["scan", str(COUNTEREXAMPLE)], 1, 0),
+        (["check-family", str(COUNTEREXAMPLE)], 1, 1),
+        (["scan", "no-such-snapshot.json"], 2, 2),
+    ],
+    ids=["scan-stdout", "check-family-stdout", "missing-path-stderr"],
+)
+def test_a_closed_stream_keeps_the_exit_code(args, fd, code):
+    # with descriptor 1 or 2 closed the interpreter starts with sys.stdout or sys.stderr set to None
+    result = _run_cli(args, capture_output=True, preexec_fn=lambda: os.close(fd))
+    assert result.returncode == code
+    assert (result.stdout, result.stderr) == (b"", b"")
 
 
 def test_scan_never_imports_the_generator():
@@ -200,6 +229,7 @@ def test_scan_never_imports_the_generator():
     imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.decode().splitlines()]
     assert "perimetric.ingestion" in imported
     assert "perimetric.generator" not in imported
+    assert not [name for name in imported if name == "click" or name.startswith("click.")]
     # the package still resolves the generator's names on first use
     probe = (
         "import sys, perimetric; assert 'perimetric.generator' not in sys.modules; "
@@ -216,7 +246,7 @@ def test_unexpected_error_exits_3_with_one_line(monkeypatch):
         raise RuntimeError("first line\nsecond line")
 
     monkeypatch.setattr("perimetric.cli.rank_spns", broken)
-    result = runner.invoke(main, ["scan", str(COUNTEREXAMPLE)])
+    result = invoke(["scan", str(COUNTEREXAMPLE)])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "error: unexpected RuntimeError: first line second line\n"
@@ -237,7 +267,7 @@ def test_package_error_in_a_command_exits_3_with_its_message(args, name, monkeyp
         raise errors.UnbandableRadius("radius 3/7\nis in no band")
 
     monkeypatch.setattr(f"perimetric.cli.{name}", broken)
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "error: radius 3/7 is in no band\n"
@@ -253,11 +283,13 @@ def test_package_error_in_a_command_exits_3_with_its_message(args, name, monkeyp
         (["check-family", "--limit", "0", str(COUNTEREXAMPLE)], "--limit"),
         (["scan", "--format", "xml", str(COUNTEREXAMPLE)], "xml"),
         (["explain"], "SNAPSHOT"),
+        (["check-family", "--lim", "5", str(COUNTEREXAMPLE)], "--lim"),
     ],
-    ids=["missing-path", "directory-path", "unknown-command", "group-option", "limit-zero", "bad-choice", "missing-argument"],
+    ids=["missing-path", "directory-path", "unknown-command", "group-option", "limit-zero", "bad-choice",
+         "missing-argument", "abbreviated-option"],
 )
 def test_usage_errors_end_in_one_error_line(args, names):
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 2
     assert result.stdout == ""
     assert result.stderr.startswith("error: ")
@@ -271,17 +303,19 @@ def test_usage_error_after_the_snapshot_leaves_no_file_open():
     stderr = result.stderr.decode()
     assert result.returncode == 2
     assert result.stdout == b""
-    assert stderr.splitlines() == ["error: Missing argument 'SPN'."]
+    assert stderr.splitlines() == ["error: the following arguments are required: SPN"]
     assert "ResourceWarning" not in stderr
 
 
 def test_help_is_unchanged_by_the_error_line():
     for args in (["--help"], ["scan", "--help"]):
-        result = runner.invoke(main, args)
+        result = invoke(args)
         assert result.exit_code == 0
-        assert result.stdout.startswith("Usage: ")
-    bare = runner.invoke(main, [])  # a bare group prints its help, as click does
-    assert "Usage: " in bare.output and "Commands:" in bare.output
+        assert result.stdout.startswith("usage: perimetric ")
+    bare = invoke([])  # a bare command prints its help on stderr and exits 2
+    assert bare.exit_code == 2 and bare.stdout == ""
+    assert bare.stderr.startswith("usage: perimetric ")
+    assert all(command in bare.stderr for command in ("scan", "bands", "check-family", "generate", "explain"))
     assert "error:" not in bare.output
 
 
@@ -289,8 +323,8 @@ def test_scan_jobs_flag_is_deterministic():
     snapshot = serialize_snapshot(
         generate_synthetic_tenant(GeneratorConfig(seed=9, tight_spns=8, dispersed_spns=8))
     )
-    serial = _invoke(["scan", "-"], input=snapshot)
-    threaded = _invoke(["scan", "-", "--jobs", "4"], input=snapshot)
+    serial = invoke(["scan", "-"], input=snapshot)
+    threaded = invoke(["scan", "-", "--jobs", "4"], input=snapshot)
     assert serial.output == threaded.output
 
 
@@ -298,13 +332,13 @@ def test_bands_two_archetypes_and_determinism():
     snapshot = serialize_snapshot(
         generate_synthetic_tenant(GeneratorConfig(seed=2, tight_spns=10, dispersed_spns=10))
     )
-    plain = _invoke(["bands", "-"], input=snapshot)
+    plain = invoke(["bands", "-"], input=snapshot)
     assert plain.exit_code == 0
     regimes = {line.split(",")[-1] for line in plain.output.splitlines()[1:]}
     assert {"Tight", "Dispersed"} <= regimes
 
-    anon_a = _invoke(["bands", "-", "--anonymize", "--seed", "42"], input=snapshot)
-    anon_b = _invoke(["bands", "-", "--anonymize", "--seed", "42"], input=snapshot)
+    anon_a = invoke(["bands", "-", "--anonymize", "--seed", "42"], input=snapshot)
+    anon_b = invoke(["bands", "-", "--anonymize", "--seed", "42"], input=snapshot)
     assert anon_a.output == anon_b.output
     assert anon_a.output.splitlines()[1].startswith("I,")
 
@@ -319,19 +353,19 @@ def test_bands_canonical_labels_without_anonymize():
             {"principal": "svc-2", "action": "ReadSecret", "access": "read", "scope": "sub-2"},
         ],
     )
-    result = _invoke(["bands", "-"], input=text)
+    result = invoke(["bands", "-"], input=text)
     lines = result.output.splitlines()
     assert lines[1].startswith("tenant:write,1,")
     assert lines[2].startswith("tenant:read,1,")
 
 
 def test_check_family_without_alternates_exits_2():
-    result = _invoke(["check-family", "-"], input=_snapshot_text(spns=["svc-1"]))
+    result = invoke(["check-family", "-"], input=_snapshot_text(spns=["svc-1"]))
     assert result.exit_code == 2
 
 
 def test_check_family_counterexample_exits_1_with_exact_values():
-    result = _invoke(["check-family", str(COUNTEREXAMPLE)])
+    result = invoke(["check-family", str(COUNTEREXAMPLE)])
     assert result.exit_code == 1
     assert "d3(x, y) = 1" in result.output
     assert "d3(y, z) = 1" in result.output
@@ -345,7 +379,7 @@ def test_check_family_all_read_counterexample_has_no_note():
     doc = json.loads(COUNTEREXAMPLE.read_text())
     for assignment in doc["assignments"]:
         assignment["access"] = "read"
-    result = _invoke(["check-family", "-"], input=json.dumps(doc))
+    result = invoke(["check-family", "-"], input=json.dumps(doc))
     assert result.exit_code == 1  # the infimum still breaks: d3(x, z) = 4 against 1 and 1
     assert "d3(x, z) = 4" in result.output
     assert "note:" not in result.output
@@ -361,7 +395,7 @@ def test_check_family_identical_alternate_is_clean():
             {"principal": "svc-1", "action": "ReadTable", "access": "read", "scope": "root"},
         ],
     )
-    result = _invoke(["check-family", "-"], input=text)
+    result = invoke(["check-family", "-"], input=text)
     assert result.exit_code == 0
     assert "no ultrametricity violations" in result.output
 
@@ -388,7 +422,7 @@ def test_reports_show_unprintable_ids_escaped(command, code):
     for names in ({}, HOSTILE):
         doc = _renamed(json.loads(COUNTEREXAMPLE.read_text()), names)
         args = [command, "-", *doc["spns"]] if command == "explain" else [command, "-"]
-        result = _invoke(args, input=json.dumps(doc))
+        result = invoke(args, input=json.dumps(doc))
         assert result.exit_code == code
         outputs.append(result.output)
     plain, hostile = outputs
@@ -400,34 +434,34 @@ def test_reports_show_unprintable_ids_escaped(command, code):
 
 
 def test_generate_deterministic_bytes():
-    first = _invoke(["generate", "--seed", "0", "--spns", "10"])
-    second = _invoke(["generate", "--seed", "0", "--spns", "10"])
+    first = invoke(["generate", "--seed", "0", "--spns", "10"])
+    second = invoke(["generate", "--seed", "0", "--spns", "10"])
     assert first.exit_code == 0
     assert first.output == second.output
 
 
 def test_generate_pipes_into_scan():
-    generated = _invoke(["generate", "--seed", "4", "--spns", "6"])
-    result = _invoke(["scan", "-"], input=generated.output)
+    generated = invoke(["generate", "--seed", "4", "--spns", "6"])
+    result = invoke(["scan", "-"], input=generated.output)
     assert result.exit_code == 0
     assert len(result.output.splitlines()) == 7  # header + one row per SPN
 
 
 def test_generate_tight_archetype_rows_are_ultracycles():
-    generated = _invoke(["generate", "--seed", "1", "--archetype", "tight", "--spns", "5"])
-    result = _invoke(["scan", "-"], input=generated.output)
+    generated = invoke(["generate", "--seed", "1", "--archetype", "tight", "--spns", "5"])
+    result = invoke(["scan", "-"], input=generated.output)
     rows = result.output.splitlines()[1:]
     assert len(rows) == 5
     assert all(row.endswith(",1.000000,true") for row in rows)
 
 
 def test_generate_rejects_conflicting_flags():
-    result = _invoke(["generate", "--spns", "5", "--tight", "2"])
+    result = invoke(["generate", "--spns", "5", "--tight", "2"])
     assert result.exit_code == 2
 
 
 def test_generate_rejects_invalid_config():
-    result = _invoke(["generate", "--subscriptions", "1", "--dispersed", "2"])
+    result = invoke(["generate", "--subscriptions", "1", "--dispersed", "2"])
     assert result.exit_code == 2
 
 
@@ -438,14 +472,14 @@ def test_explain_singleton_grant():
             {"principal": "svc-1", "action": "ReadBlob", "access": "read", "scope": "sub-1"},
         ],
     )
-    result = _invoke(["explain", "-", "svc-1"], input=text)
+    result = invoke(["explain", "-", "svc-1"], input=text)
     assert result.exit_code == 0
     assert "tour: single grant, length 0" in result.output
     assert "blast radius: 0.000000" in result.output
 
 
 def test_explain_unknown_spn_exits_2():
-    result = _invoke(["explain", "-", "ghost"], input=_snapshot_text())
+    result = invoke(["explain", "-", "ghost"], input=_snapshot_text())
     assert result.exit_code == 2
 
 
@@ -457,7 +491,7 @@ def test_explain_ultracycle_edges_share_one_distance():
             for i in range(4)
         ],
     )
-    result = _invoke(["explain", "-", "svc-1"], input=text)
+    result = invoke(["explain", "-", "svc-1"], input=text)
     assert result.exit_code == 0
     edges = [line.split("d = ")[1] for line in result.output.splitlines() if "d = " in line]
     assert len(edges) == 4
@@ -466,7 +500,7 @@ def test_explain_ultracycle_edges_share_one_distance():
 
 
 def test_explain_dispersed_shows_cluster_then_jump():
-    result = _invoke(["explain", "-", "svc-dispersed"], input=_two_cluster_text())
+    result = invoke(["explain", "-", "svc-dispersed"], input=_two_cluster_text())
     assert result.exit_code == 0
     edges = [
         Fraction(line.split("d = ")[1])

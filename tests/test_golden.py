@@ -21,9 +21,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from perimetric.cli import main
+from helpers import invoke
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TENANT = FIXTURES / "golden_tenant.json"
@@ -52,14 +51,14 @@ FAMILY_COMMANDS = [
 
 def _stdout(command: str) -> str:
     verb, *rest = command.split()
-    result = CliRunner().invoke(main, [verb, str(TENANT), *rest], catch_exceptions=False)
+    result = invoke([verb, str(TENANT), *rest])
     assert result.exit_code == 0, result.output
     return result.stdout
 
 
 def _family_stdout(command: str) -> str:
     verb, path = command.split()
-    result = CliRunner().invoke(main, [verb, str(ROOT / path)], catch_exceptions=False)
+    result = invoke([verb, str(ROOT / path)])
     assert result.exit_code == 1, result.output
     return result.stdout
 

@@ -5,17 +5,15 @@ import json
 import random
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimetric import ingestion
-from perimetric.cli import main
 from perimetric.errors import GroupCycle, UnknownPrincipal
 from perimetric.ingestion import TenantSnapshot, parse_snapshot, resolve_effective_grants
 from perimetric.metric import AccessClass, Grant
 
-from helpers import nested_group_chains, scan_effective_grants
+from helpers import invoke, nested_group_chains, scan_effective_grants
 
 HIERARCHY = [
     {"id": "root", "kind": "tenant_root"},
@@ -192,7 +190,7 @@ def _deep_chain_text():
 def test_deep_group_chain_parses_and_inherits_top_grant():
     snapshot = parse_snapshot(_deep_chain_text())
     assert resolve_effective_grants("svc-bottom", snapshot) == {Grant("ReadBlob", AccessClass.READ, "rg-1")}
-    result = CliRunner().invoke(main, ["scan", "-"], input=_deep_chain_text(), catch_exceptions=False)
+    result = invoke(["scan", "-"], input=_deep_chain_text())
     assert result.exit_code == 0
     assert result.output.splitlines()[1].startswith("svc-bottom,1,")
 
