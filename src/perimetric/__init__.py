@@ -18,13 +18,11 @@ from perimetric.ingestion import (
     serialize_snapshot,
 )
 from perimetric.metric import (
-    DEFAULT_IMPACT,
     AccessClass,
     DistanceModel,
     EffectiveDistance,
     Grant,
     HierarchyFamily,
-    ImpactModel,
     check_ultrametricity,
     distance,
     effective_distance,
@@ -71,7 +69,6 @@ __all__ = [
     "Assignment",
     "Band",
     "BandReportRow",
-    "DEFAULT_IMPACT",
     "DistanceModel",
     "EffectiveDistance",
     "GeneratorConfig",
@@ -79,7 +76,6 @@ __all__ = [
     "Group",
     "HierarchyFamily",
     "HierarchyNode",
-    "ImpactModel",
     "NodeKind",
     "PrincipalRisk",
     "Regime",

@@ -61,10 +61,13 @@ def _usage_error(message: str) -> NoReturn:
 def _read(path: str) -> bytes:
     """The bytes of the file at `path`, or of standard input for `-`.
 
-    A file that cannot be opened or read is a usage error that names it.
+    A file that cannot be opened or read, or a closed standard input, is a
+    usage error that names it.
     """
     try:
         if path == "-":
+            if sys.stdin is None:  # None when descriptor 0 is closed
+                _usage_error("argument SNAPSHOT: can't read '-': standard input is closed")
             return sys.stdin.buffer.read()
         with open(path, "rb") as handle:
             return handle.read()

@@ -45,10 +45,6 @@ class DuplicateId(PerimetricError):
 
 # -- metric / ranking --------------------------------------------------------
 
-class NonCanonicalWeights(PerimetricError):
-    """Impact weights that do not produce the full 22-value band census."""
-
-
 class UnbandableRadius(PerimetricError):
     """A nonzero blast radius outside the band census; signals a metric bug."""
 

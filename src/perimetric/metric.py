@@ -2,8 +2,11 @@
 
 Two distinct grants sit at raw distance impact / 2**(2 * level + 1),
 where level is the canonical level of the lowest common ancestor of
-their scopes and impact is the larger of the two access weights (read 1,
-write 2 by default). Identical grants are at distance 0. All values are
+their scopes and impact is the larger of the two access weights,
+READ_WEIGHT 1 and WRITE_WEIGHT 2. These are the paper's weights and the
+only ones used: they give the 22-value band census, keep every distance
+at most 1, and satisfy read < write < 4 * read, which the closure and
+raw_violates rely on. Identical grants are at distance 0. All values are
 exact dyadic rationals and every comparison is exact; there are no
 tolerances anywhere.
 
@@ -60,48 +63,21 @@ def grant_sort_key(grant: Grant) -> tuple[str, str, str]:
     return (grant.action, grant.access.value, grant.scope)
 
 
-@dataclass(frozen=True)
-class ImpactModel:
-    """Access-class weights feeding the distance numerator.
-
-    Weights other than the defaults are allowed (write must outweigh
-    read), but only the defaults guarantee the canonical 22-band census
-    and distances bounded by 1.
-    """
-
-    read_weight: int = 1
-    write_weight: int = 2
-
-    def __post_init__(self) -> None:
-        for name, w in (("read_weight", self.read_weight), ("write_weight", self.write_weight)):
-            if not isinstance(w, int) or w <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {w!r}")
-        if self.write_weight <= self.read_weight:
-            raise ValueError("write_weight must exceed read_weight")
-
-    def weight(self, access: AccessClass) -> int:
-        return self.write_weight if access is AccessClass.WRITE else self.read_weight
+READ_WEIGHT = 1
+WRITE_WEIGHT = 2
 
 
-DEFAULT_IMPACT = ImpactModel()
-
-
-def pair_impact(a: Grant, b: Grant, model: ImpactModel = DEFAULT_IMPACT) -> int:
+def pair_impact(a: Grant, b: Grant) -> int:
     """Impact of a grant pair: the larger of the two access weights."""
-    return max(model.weight(a.access), model.weight(b.access))
+    return WRITE_WEIGHT if AccessClass.WRITE in (a.access, b.access) else READ_WEIGHT
 
 
-def distance(
-    a: Grant,
-    b: Grant,
-    tree: TenantTree,
-    model: ImpactModel = DEFAULT_IMPACT,
-) -> Fraction:
+def distance(a: Grant, b: Grant, tree: TenantTree) -> Fraction:
     """Exact dyadic distance between two grants under one hierarchy."""
     if a == b:
         return Fraction(0)
     level = lca_level(tree, a.scope, b.scope)
-    return Fraction(pair_impact(a, b, model), 1 << (2 * level + 1))
+    return Fraction(pair_impact(a, b), 1 << (2 * level + 1))
 
 
 @dataclass(frozen=True)
@@ -133,12 +109,7 @@ class HierarchyFamily:
         yield from self.alternates
 
 
-def infimum_distance(
-    a: Grant,
-    b: Grant,
-    family: HierarchyFamily,
-    model: ImpactModel = DEFAULT_IMPACT,
-) -> Fraction:
+def infimum_distance(a: Grant, b: Grant, family: HierarchyFamily) -> Fraction:
     """Pointwise minimum of the distance across the family, hence at the deepest LCA level.
 
     Tighter than any single member, but no longer ultrametric in general.
@@ -151,19 +122,18 @@ def infimum_distance(
             level = max(level, lca_level(tree, a.scope, b.scope))
         except UnknownNode as exc:
             raise UnknownNode(f"{exc} (hierarchy {name!r})") from None
-    return Fraction(pair_impact(a, b, model), 1 << (2 * level + 1))
+    return Fraction(pair_impact(a, b), 1 << (2 * level + 1))
 
 
 class DistanceModel(NamedTuple):
-    """Callable pairing an impact model with a tree or family of trees."""
+    """Callable distance under a tree or a family of trees."""
 
     hierarchy: TenantTree | HierarchyFamily
-    impact: ImpactModel = DEFAULT_IMPACT
 
     def __call__(self, a: Grant, b: Grant) -> Fraction:
         if isinstance(self.hierarchy, HierarchyFamily):
-            return infimum_distance(a, b, self.hierarchy, self.impact)
-        return distance(a, b, self.hierarchy, self.impact)
+            return infimum_distance(a, b, self.hierarchy)
+        return distance(a, b, self.hierarchy)
 
     def matrix(self, points: Sequence[Grant]) -> list[int]:
         """Flat row-major matrix of this distance over `points`, in integer units of 2**-21.
@@ -186,8 +156,8 @@ class DistanceModel(NamedTuple):
         m = len(scopes)
         column = {scope: index for index, scope in enumerate(scopes)}
         keys = [column[g.scope] + m * (g.access is AccessClass.WRITE) for g in points]
-        weights = (self.impact.read_weight, self.impact.write_weight)
         # table[max(access of i, access of j)][level]; the n * n cells share these ints
+        weights = (READ_WEIGHT, WRITE_WEIGHT)
         table = [[w << (kernels.SCALE_BITS - 2 * level - 1) for level in range(MAX_LEVEL + 1)] for w in weights]
         levels = _scope_levels(scopes, trees)
         pick = itemgetter(*keys)
@@ -283,8 +253,9 @@ class EffectiveDistance:
     merge height of every cluster that contains it, so a read pair whose
     sides hold a write meets at the write value of its LCA level. The
     result is a dendrogram, hence a true ultrametric, and it preserves
-    the raw distance's diameter (the blast radius) exactly. Sets with a
-    single access class are untouched.
+    the raw distance's diameter (the blast radius) exactly, because write
+    is below four times read: a write pair one level deeper never outweighs
+    a read pair above it. Sets with a single access class are untouched.
 
     Instances are bound to one grant set; only pairs and subsets of that
     set may be queried. A subset gets the closure's own distances: a write
@@ -297,17 +268,8 @@ class EffectiveDistance:
     raises UnknownNode for the first unknown scope.
     """
 
-    def __init__(
-        self,
-        grants: Iterable[Grant],
-        tree: TenantTree,
-        model: ImpactModel = DEFAULT_IMPACT,
-    ) -> None:
-        if model.write_weight >= 4 * model.read_weight:
-            raise ValueError(
-                "ultrametric closure needs write_weight below four times read_weight"
-            )
-        self._tree, self._model, self._grants = tree, model, tuple(grants)
+    def __init__(self, grants: Iterable[Grant], tree: TenantTree) -> None:
+        self._tree, self._grants = tree, tuple(grants)
         # a set's length is its distinct count; a sequence may repeat a grant
         self._distinct = len(grants) if isinstance(grants, (set, frozenset)) else len(set(self._grants))
 
@@ -330,7 +292,7 @@ class EffectiveDistance:
         top, ca, cb = meet(self._tree, a.scope, b.scope)
         side_a = ca in dirty if ca is not None else a.access is AccessClass.WRITE
         side_b = cb in dirty if cb is not None else b.access is AccessClass.WRITE
-        weight = self._model.write_weight if (side_a or side_b) else self._model.read_weight
+        weight = WRITE_WEIGHT if (side_a or side_b) else READ_WEIGHT
         return Fraction(weight, 1 << (2 * self._tree.canonical_level[top] + 1))
 
     def geometry(self, grants: Iterable[Grant]) -> tuple[int, int, int, int]:
@@ -349,7 +311,6 @@ class EffectiveDistance:
         """
         tree = self._tree
         nodes, depth_of, level_of = tree.nodes, tree.depth, tree.canonical_level
-        read, write = self._model.read_weight, self._model.write_weight
         items = dict.fromkeys(grants)
         own = len(items) == self._distinct
         raised_nodes = None if own else self._dirty
@@ -376,12 +337,12 @@ class EffectiveDistance:
                 size = clean_sum + dirty_sum
                 if clean + dirty > 1:  # a lone block passes up as it is
                     shift = kernels.SCALE_BITS - (2 * level_of[node] + 1)
-                    height = read << shift
+                    height = READ_WEIGHT << shift
                     if clean:  # the clean blocks merge at read height
                         length += height * (clean - 1)
                         pair_sum += height * ((clean_sum * clean_sum - clean_squares) >> 1)
                     if dirty:  # then, joined into one, they meet the dirty ones at write height
-                        height = write << shift
+                        height = WRITE_WEIGHT << shift
                         length += height * (dirty if clean else dirty - 1)
                         pair_sum += height * ((size * size - clean_sum * clean_sum - dirty_squares) >> 1)
                 if not blocks:  # this node holds every grant
@@ -402,26 +363,23 @@ class EffectiveDistance:
         return 0, 0, 0, 0
 
 
-def effective_distance(
-    grants: Iterable[Grant],
-    tree: TenantTree,
-    model: ImpactModel = DEFAULT_IMPACT,
-) -> EffectiveDistance:
+def effective_distance(grants: Iterable[Grant], tree: TenantTree) -> EffectiveDistance:
     """The per-set ultrametric the analytics pipeline runs on."""
-    return EffectiveDistance(grants, tree, model)
+    return EffectiveDistance(grants, tree)
 
 
-def raw_violates(grants: Sequence[Grant], tree: TenantTree, model: ImpactModel = DEFAULT_IMPACT) -> bool:
+def raw_violates(grants: Sequence[Grant], tree: TenantTree) -> bool:
     """Whether raw distances under `tree` break the strong triangle inequality on `grants`.
 
-    With read < write < 4 * read and levels rising strictly down every root path, they
-    do exactly where a write w raises the closure's merge of two reads: w and a read j
-    under one child of a node, a read k elsewhere at it, so d(w, k) > max(d(w, j), d(j, k)).
+    Since READ_WEIGHT < WRITE_WEIGHT < 4 * READ_WEIGHT and levels rise strictly down every
+    root path, they do exactly where a write w raises the closure's merge of two reads: w
+    and a read j under one child of a node, a read k elsewhere at it, so
+    d(w, k) > max(d(w, j), d(j, k)).
     That is when the reads' pair sum under the full closure exceeds that under their own.
     """
     reads = [g for g in grants if g.access is AccessClass.READ]
-    raised = EffectiveDistance(grants, tree, model).geometry(reads)[3]
-    return raised > EffectiveDistance(reads, tree, model).geometry(reads)[3]
+    raised = EffectiveDistance(grants, tree).geometry(reads)[3]
+    return raised > EffectiveDistance(reads, tree).geometry(reads)[3]
 
 
 P = TypeVar("P")

@@ -1,8 +1,8 @@
 """Band stratification and two-key risk ranking.
 
-With default weights the distance formula admits exactly 22 values, one
-per (level, access) pair, so principals sharing a blast radius fall into
-the same band. Ranking sorts by radius first and breaks ties with the
+The distance formula, with its fixed read and write weights 1 and 2,
+admits exactly 22 values, one per (level, access) pair, so principals
+sharing a blast radius fall into the same band. Ranking sorts by radius first and breaks ties with the
 perimeter: a larger tour means more elongated permission geometry and
 ranks riskier. Band reports can be anonymized by shuffling rows under a
 seed and relabeling them with roman numerals.
@@ -19,13 +19,11 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from perimetric.errors import NonCanonicalWeights, UnbandableRadius
+from perimetric.errors import UnbandableRadius
 from perimetric.kernels import SCALE
-from perimetric.metric import AccessClass, DEFAULT_IMPACT, ImpactModel
+from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass
 from perimetric.perimeter import PrincipalRisk
 from perimetric.render import format_fixed, fraction_str, roman
-
-EXPECTED_BAND_COUNT = 22
 
 # Bands at or above this radius are labeled Dispersed, the rest Tight.
 TIGHT_RADIUS_BOUND = Fraction(1, 10_000)
@@ -76,28 +74,17 @@ def regime_for(band_value: Fraction) -> Regime:
     return Regime.TIGHT if band_value < TIGHT_RADIUS_BOUND else Regime.DISPERSED
 
 
-def enumerate_bands(model: ImpactModel = DEFAULT_IMPACT) -> BandCensus:
-    """All bands in strictly decreasing radius order.
+def enumerate_bands() -> BandCensus:
+    """All 22 bands in strictly decreasing radius order.
 
-    Raises NonCanonicalWeights when the weights collapse the census below
-    22 distinct values.
+    That is write, then read, at each level from the root down: a write one
+    level deeper is below a read, since WRITE_WEIGHT < 4 * READ_WEIGHT.
     """
-    bands = [
-        Band(
-            value=Fraction(model.weight(access), 1 << (2 * level + 1)),
-            level=level,
-            access=access,
-        )
+    return BandCensus(
+        Band(value=Fraction(weight, 1 << (2 * level + 1)), level=level, access=access)
         for level in range(11)
-        for access in (AccessClass.WRITE, AccessClass.READ)
-    ]
-    values = {band.value for band in bands}
-    if len(values) != EXPECTED_BAND_COUNT:
-        raise NonCanonicalWeights(
-            f"weights ({model.read_weight}, {model.write_weight}) yield "
-            f"{len(values)} distinct band values, expected {EXPECTED_BAND_COUNT}"
-        )
-    return BandCensus(sorted(bands, key=lambda band: band.value, reverse=True))
+        for access, weight in ((AccessClass.WRITE, WRITE_WEIGHT), (AccessClass.READ, READ_WEIGHT))
+    )
 
 
 def band_of(radius: Fraction | int, bands: Sequence[Band], unit: int = 1) -> Band | None:

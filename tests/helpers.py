@@ -44,7 +44,7 @@ from perimetric.ingestion import (
     _check_groups_acyclic,
     serialize_snapshot,
 )
-from perimetric.metric import AccessClass, DistanceModel, EffectiveDistance, Grant
+from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass, DistanceModel, EffectiveDistance, Grant
 from perimetric.perimeter import sorted_grants, spread_ratio
 
 @dataclass(frozen=True)
@@ -277,7 +277,6 @@ def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int,
     tree root, every node builds its clean and dirty tuples, and a child
     subtree is dirty when it is in the closure's dirty set."""
     tree = dist._tree
-    read, write = dist._model.read_weight, dist._model.write_weight
     blocks: dict[str, list[tuple[int, bool]]] = {}
     by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]
     for grant in dict.fromkeys(grants):
@@ -295,10 +294,10 @@ def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int,
             clean = tuple(size for size, raised in here if not raised)
             dirty = tuple(size for size, raised in here if raised)
             if len(clean) > 1:
-                merges.append((read << shift, clean))
+                merges.append((READ_WEIGHT << shift, clean))
             joined = (sum(clean),) + dirty if clean else dirty
             if dirty and len(joined) > 1:
-                merges.append((write << shift, joined))
+                merges.append((WRITE_WEIGHT << shift, joined))
             parent = tree.nodes[node].parent
             if parent is not None:
                 if parent not in blocks:

@@ -207,20 +207,30 @@ def test_stdout_write_failure_exits_3_without_traceback(command, unbuffered):
     assert len(stderr.splitlines()) == 1
 
 
+CLOSED_STDIN = b"error: argument SNAPSHOT: can't read '-': standard input is closed\n"
+
+
 @pytest.mark.parametrize(
-    "args, fd, code",
+    "args, fd, code, stderr",
     [
-        (["scan", str(COUNTEREXAMPLE)], 1, 0),
-        (["check-family", str(COUNTEREXAMPLE)], 1, 1),
-        (["scan", "no-such-snapshot.json"], 2, 2),
+        (["scan", str(COUNTEREXAMPLE)], 1, 0, b""),
+        (["check-family", str(COUNTEREXAMPLE)], 1, 1, b""),
+        (["scan", "no-such-snapshot.json"], 2, 2, b""),
+        (["scan", "-"], 0, 2, CLOSED_STDIN),
+        (["bands", "-"], 0, 2, CLOSED_STDIN),
+        (["check-family", "-"], 0, 2, CLOSED_STDIN),
+        (["explain", "-", "svc-counterexample"], 0, 2, CLOSED_STDIN),
     ],
-    ids=["scan-stdout", "check-family-stdout", "missing-path-stderr"],
+    ids=[
+        "scan-stdout", "check-family-stdout", "missing-path-stderr",
+        "scan-stdin", "bands-stdin", "check-family-stdin", "explain-stdin",
+    ],
 )
-def test_a_closed_stream_keeps_the_exit_code(args, fd, code):
-    # with descriptor 1 or 2 closed the interpreter starts with sys.stdout or sys.stderr set to None
+def test_a_closed_stream_keeps_the_exit_code(args, fd, code, stderr):
+    # with descriptor 0, 1 or 2 closed the interpreter starts with sys.stdin, sys.stdout or sys.stderr set to None
     result = _run_cli(args, capture_output=True, preexec_fn=lambda: os.close(fd))
     assert result.returncode == code
-    assert (result.stdout, result.stderr) == (b"", b"")
+    assert (result.stdout, result.stderr) == (b"", stderr)
 
 
 def test_scan_never_imports_the_generator():

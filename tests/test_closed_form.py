@@ -31,13 +31,11 @@ from perimetric import kernels
 from perimetric.errors import UnbandableRadius, UnknownNode
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree, lca
 from perimetric.metric import (
-    DEFAULT_IMPACT,
     AccessClass,
     DistanceModel,
     EffectiveDistance,
     Grant,
     HierarchyFamily,
-    ImpactModel,
     check_ultrametricity,
     distance,
     effective_distance,
@@ -119,8 +117,7 @@ def instances(draw, max_size=BRUTE_FORCE_LIMIT + 2):
     # the maximal chain has six nested management groups and every kind
     tree = draw(st.one_of(st.just(chain_tree()[0]), random_trees()))
     grants = draw(grant_lists(tree, max_size))
-    model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
-    return tree, grants, model
+    return tree, grants
 
 
 @st.composite
@@ -150,8 +147,8 @@ def families(draw):
 @settings(max_examples=400, deadline=None)
 @given(instances())
 def test_closed_form_matches_matrix_path_and_exhaustive_tour(instance):
-    tree, grants, model = instance
-    dist = effective_distance(grants, tree, model)
+    tree, grants = instance
+    dist = effective_distance(grants, tree)
     closed = assess_principal("spn", grants, dist)
     # a plain callable is not an EffectiveDistance, so it takes the matrix path
     assert closed == assess_principal("spn", grants, lambda a, b: dist(a, b))
@@ -165,22 +162,21 @@ _PUBLIC_FIELDS = ("spn", "n", "blast_radius", "perimeter", "mean_distance", "spr
 
 @st.composite
 def principal_sets(draw):
-    """One tree and model, and one to five principals of 0 to 16 grants on it."""
+    """One tree, and one to five principals of 0 to 16 grants on it."""
     tree = draw(st.one_of(st.just(chain_tree()[0]), random_trees()))
-    model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
     grant_sets = draw(st.lists(grant_lists(tree, max_size=16), min_size=1, max_size=5))
-    return tree, model, grant_sets
+    return tree, grant_sets
 
 
 @settings(max_examples=400, deadline=None)
 @given(principal_sets())
 def test_integer_record_matches_fraction_oracle(case):
-    tree, model, grant_sets = case
-    bands = enumerate_bands(model)
+    tree, grant_sets = case
+    bands = enumerate_bands()
     for closed_form in (True, False):
         risks, oracles = [], []
         for index, grants in enumerate(grant_sets):
-            dist = effective_distance(grants, tree, model)
+            dist = effective_distance(grants, tree)
             if not closed_form:
                 dist = lambda a, b, dist=dist: dist(a, b)  # noqa: E731
             risk = assess_principal(f"s{index}", grants, dist)
@@ -299,9 +295,9 @@ def test_format_fixed_on_unreduced_parts_matches_fraction_oracle(num, den, k, di
 @settings(max_examples=400, deadline=None)
 @given(instances(max_size=16))
 def test_raw_violates_matches_triple_scan_of_raw_distances(instance):
-    tree, grants, model = instance
-    scanned = check_ultrametricity(grants, DistanceModel(tree, model), limit=1)
-    assert raw_violates(grants, tree, model) == bool(scanned)
+    tree, grants = instance
+    scanned = check_ultrametricity(grants, DistanceModel(tree), limit=1)
+    assert raw_violates(grants, tree) == bool(scanned)
 
 
 @settings(max_examples=200, deadline=None)
@@ -309,11 +305,10 @@ def test_raw_violates_matches_triple_scan_of_raw_distances(instance):
 def test_infimum_is_the_minimum_over_the_family(data):
     family = data.draw(families())
     grants = data.draw(grant_lists(family.native))
-    model = data.draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
     for a in grants:
         for b in grants:
-            expected = min(distance(a, b, tree, model) for _, tree in family.members())
-            assert infimum_distance(a, b, family, model) == expected
+            expected = min(distance(a, b, tree) for _, tree in family.members())
+            assert infimum_distance(a, b, family) == expected
 
 
 @st.composite
@@ -321,8 +316,7 @@ def distance_models(draw):
     """A DistanceModel over a family or a bare tree, and grants on its nodes."""
     hierarchy = draw(st.one_of(families(), random_trees(), st.just(chain_tree()[0])))
     tree = hierarchy.native if isinstance(hierarchy, HierarchyFamily) else hierarchy
-    model = draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7)]))
-    return DistanceModel(hierarchy, model), draw(grant_lists(tree, max_size=16))
+    return DistanceModel(hierarchy), draw(grant_lists(tree, max_size=16))
 
 
 @settings(max_examples=400, deadline=None)
@@ -371,9 +365,7 @@ def test_distance_model_check_matches_the_cubic_scan_of_the_matrix(data):
     if data.draw(st.booleans()):  # one access class
         access = data.draw(st.sampled_from(AccessClass))
         grants = [grant._replace(access=access) for grant in grants]
-    # (2, 7) and (1, 5) weigh write at 3.5 and 5 reads, so a write pair can outweigh a read pair a level up
-    model = data.draw(st.sampled_from([DEFAULT_IMPACT, ImpactModel(2, 7), ImpactModel(1, 5)]))
-    dist = DistanceModel(family, model)
+    dist = DistanceModel(family)
     flat, n = dist.matrix(grants), len(grants)
     for cap in (1, 7, 100):
         oracle = triple_violations_cubic(flat, n, cap)
@@ -502,8 +494,8 @@ def _oracle_geometry(dist, grants):
 @settings(max_examples=400, deadline=None)
 @given(instances(max_size=16), st.data())
 def test_geometry_matches_the_walk_to_the_root(instance, data):
-    tree, grants, model = instance
-    dist = effective_distance(grants, tree, model)
+    tree, grants = instance
+    dist = effective_distance(grants, tree)
     # the closure's whole set, in the input order and reversed, never builds the dirty set
     for seq in (grants, grants[::-1]):
         dist.geometry(seq)
@@ -521,8 +513,8 @@ def test_geometry_matches_the_walk_to_the_root(instance, data):
         assert risk == assess_principal("spn", seq, lambda a, b: dist(a, b))
         if 0 < risk.n <= BRUTE_FORCE_LIMIT:
             assert risk.perimeter == brute_force_tour(sorted_grants(seq), dist)
-    raised = merges_oracle(dist, reads) != merges_oracle(EffectiveDistance(reads, tree, model), reads)
-    assert raw_violates(grants, tree, model) == raised
+    raised = merges_oracle(dist, reads) != merges_oracle(EffectiveDistance(reads, tree), reads)
+    assert raw_violates(grants, tree) == raised
     # nothing at or above the lowest common ancestor of the folded set is read
     recorded = replace(tree, nodes=_Recorded(tree.nodes))
     dist._tree = recorded
@@ -573,8 +565,8 @@ def test_a_subset_keeps_the_writes_of_the_whole_set():
 @settings(max_examples=300, deadline=None)
 @given(instances(max_size=16), st.integers(0, 16))
 def test_closed_form_reads_the_set_in_any_order(instance, repeated):
-    tree, grants, model = instance
-    dist = effective_distance(grants, tree, model)
+    tree, grants = instance
+    dist = effective_distance(grants, tree)
     risk = assess_principal("spn", frozenset(grants), dist)
     for given_as in (
         sorted_grants(grants),

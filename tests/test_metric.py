@@ -14,7 +14,6 @@ from perimetric.metric import (
     EffectiveDistance,
     Grant,
     HierarchyFamily,
-    ImpactModel,
     check_ultrametricity,
     distance,
     effective_distance,
@@ -40,15 +39,6 @@ def test_pair_impact():
     assert pair_impact(a, a) == 1
     assert pair_impact(a, b) == 2
     assert pair_impact(b, b) == 2
-
-
-def test_impact_model_validation():
-    with pytest.raises(ValueError):
-        ImpactModel(read_weight=0, write_weight=2)
-    with pytest.raises(ValueError):
-        ImpactModel(read_weight=2, write_weight=2)
-    with pytest.raises(ValueError):
-        ImpactModel(read_weight=1, write_weight=-1)
 
 
 def test_identical_grants_distance_zero():

@@ -5,8 +5,8 @@ from itertools import combinations
 import pytest
 
 from perimetric import kernels
-from perimetric.errors import NonCanonicalWeights, UnbandableRadius
-from perimetric.metric import AccessClass, DistanceModel, ImpactModel
+from perimetric.errors import UnbandableRadius
+from perimetric.metric import AccessClass, DistanceModel
 from perimetric.perimeter import PrincipalRisk
 from perimetric.ranking import (
     Regime,
@@ -50,12 +50,6 @@ def test_band_census_matches_distance_image():
     values = {b.value for b in enumerate_bands()}
     expected = {Fraction(i, 2 ** (2 * lvl + 1)) for i in (1, 2) for lvl in range(11)}
     assert values == expected
-
-
-def test_non_canonical_weights_rejected():
-    # write weight 4 at level L collides with read weight 1 at level L-1
-    with pytest.raises(NonCanonicalWeights):
-        enumerate_bands(ImpactModel(read_weight=1, write_weight=4))
 
 
 def test_band_of_head_zero_and_inversion():

@@ -1,4 +1,4 @@
-"""Plain records are tuples of their fields, five classes stay dataclasses, AccessClass hashes by identity."""
+"""Plain records are tuples of their fields, four classes stay dataclasses, AccessClass hashes by identity."""
 
 import json
 import os
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import perimetric
 from perimetric import kernels
 from perimetric.ingestion import AlternateHierarchy, Assignment, Group
-from perimetric.metric import DEFAULT_IMPACT, AccessClass, DistanceModel, Grant, ImpactModel
+from perimetric.metric import AccessClass, DistanceModel, Grant
 from perimetric.perimeter import PrincipalRisk, Tour
 from perimetric.ranking import Band, BandReportRow, Regime
 
@@ -40,12 +40,8 @@ RECORDS = [
         ("name", "parents"),
         st.tuples(texts, st.lists(st.tuples(texts, texts), max_size=3).map(tuple)),
     ),
-    # any hashable hierarchy makes a record of two fields; a call would need a tree
-    (
-        DistanceModel,
-        ("hierarchy", "impact"),
-        st.tuples(texts, st.sampled_from([DEFAULT_IMPACT, ImpactModel(1, 3)])),
-    ),
+    # any hashable hierarchy makes a record of one field; a call would need a tree
+    (DistanceModel, ("hierarchy",), st.tuples(texts)),
     (Tour, ("order", "length"), st.tuples(st.lists(st.integers(0, 5), max_size=4).map(tuple), fractions)),
     (Band, ("value", "level", "access"), st.tuples(fractions, st.integers(0, 10), accesses)),
     (
@@ -80,15 +76,13 @@ def test_reprs_read_as_before():
     assert repr(PrincipalRisk("svc", 1, 0, 0, 0)) == (
         f"PrincipalRisk(spn='svc', n=1, radius=0, length=0, pair_sum=0, unit={kernels.SCALE})"
     )
-    assert repr(DistanceModel("tree")) == (
-        "DistanceModel(hierarchy='tree', impact=ImpactModel(read_weight=1, write_weight=2))"
-    )
+    assert repr(DistanceModel("tree")) == "DistanceModel(hierarchy='tree')"
     assert repr(Band(Fraction(1, 2), 0, READ)) == (
         "Band(value=Fraction(1, 2), level=0, access=<AccessClass.READ: 'read'>)"
     )
 
 
-def test_only_five_classes_stay_dataclasses():
+def test_only_four_classes_stay_dataclasses():
     probe = (
         "import dataclasses, inspect, json, sys; import perimetric.cli; "
         "print(json.dumps(sorted(name for module in list(sys.modules) if module.startswith('perimetric') "
@@ -99,7 +93,7 @@ def test_only_five_classes_stay_dataclasses():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60)
     assert json.loads(result.stdout) == sorted(
-        ["HierarchyNode", "TenantTree", "ImpactModel", "HierarchyFamily", "TenantSnapshot"]
+        ["HierarchyNode", "TenantTree", "HierarchyFamily", "TenantSnapshot"]
     )
 
 
