@@ -6,18 +6,17 @@ pair; check_ultrametricity skips it for a DistanceModel (raw-tree and
 family-infimum distances), which fills an integer matrix itself
 (DistanceModel.matrix), or needs none for a set of one access class
 whose alternates leave its scopes' root paths alone. Every matrix a
-kernel sees holds plain integers over one exact unit: try_scale turns
-int and Fraction distances into integers over lcm(SCALE, every
-denominator), which is SCALE (2**21) for the dyadic distances of a
-tenant. Callers turn a result back into a Fraction over that unit, so
-every result is exact.
+kernel sees holds plain integers in units of 2**-21 (SCALE), the grid
+every distance of a tenant lies on: try_scale turns int and Fraction
+distances into those integers and rejects any value off the grid.
+Callers turn a result back into a Fraction over SCALE, so every result
+is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
 from typing import Callable, Sequence, TypeVar
 
 BACKEND = "pure-python"
@@ -43,20 +42,19 @@ def build_matrix(items: Sequence[T], dist: Callable[[T, T], object]) -> list:
     return flat
 
 
-def try_scale(values: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """The values as integers over one exact unit, and that unit.
+def try_scale(values: Sequence[int | Fraction]) -> list[int]:
+    """The values as integers in units of 2**-21.
 
-    The unit is the lcm of SCALE and every value's denominator, so values
-    with denominators dividing 2**21 give unit == SCALE. Only int and
-    Fraction values are accepted; anything else raises TypeError.
+    Only int and Fraction values are accepted; anything else raises
+    TypeError, and a value that is not a whole number of units (1/3,
+    2**-22) raises ValueError.
     """
-    unit = SCALE
     for value in values:
         if not isinstance(value, (int, Fraction)):
             raise TypeError(f"distance {value!r} is not an int or a Fraction")
-        if unit % value.denominator:
-            unit = lcm(unit, value.denominator)
-    return [value.numerator * (unit // value.denominator) for value in values], unit
+        if SCALE % value.denominator:
+            raise ValueError(f"distance {value} is not a whole number of 2**-21 units")
+    return [value.numerator * (SCALE // value.denominator) for value in values]
 
 
 def nn_tour_flat(flat: Sequence[int], n: int, start: int) -> tuple[tuple[int, ...], int]:

@@ -403,9 +403,10 @@ def check_ultrametricity(
     three trees take a few hundredths of a second. Any other set fills an
     integer matrix (DistanceModel.matrix) for the triple scan. Any other
     callable is called once per pair (kernels.build_matrix), and
-    kernels.try_scale turns that matrix into integers over one exact unit;
-    this is the oracle the integer path is tested against. Either way the
-    scan compares integers. The matrix holds n * n cells, and a scan that
+    kernels.try_scale turns that matrix into integers in units of 2**-21
+    (ValueError for a distance off that grid); this is the oracle the
+    integer path is tested against. Either way the scan compares
+    integers. The matrix holds n * n cells, and a scan that
     stops short of `limit` ANDs two n-bit rows for every pair: about 2 s
     for 2000 points, so keep the sets that reach it at or below about
     2000 points.
@@ -418,5 +419,5 @@ def check_ultrametricity(
             return []
         flat = dist.matrix(points)
     else:
-        flat = kernels.try_scale(kernels.build_matrix(points, dist))[0]
+        flat = kernels.try_scale(kernels.build_matrix(points, dist))
     return kernels.violations_flat(flat, n, limit)

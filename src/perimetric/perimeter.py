@@ -9,13 +9,13 @@ order. Any other distance callable goes through the pairwise matrix over
 the sorted grants (the only path that sorts) and the greedy
 nearest-neighbor tour, which attains the minimum on ultrametric
 distances; that path, and the exhaustive oracle, are what the tests
-check the closed form against. That matrix holds integers over one exact
-unit (kernels.try_scale): 2**21 for dyadic distances, as on the closed
-form. Lengths stay integers over that unit inside; PrincipalRisk's
-properties and Tour.length are exact Fractions built from them. A
-PrincipalRisk, like a Tour, is a tuple of its fields. The grants it is
-folded from are the snapshot index's shared Grant objects, whose scopes
-parse checked once.
+check the closed form against. That matrix holds integers in units of
+2**-21 (kernels.try_scale), as the closed form does, and a distance off
+that grid raises ValueError. Lengths stay integers in those units inside;
+PrincipalRisk's properties and Tour.length are exact Fractions built from
+them. A PrincipalRisk, like a Tour, is a tuple of its fields. The grants
+it is folded from are the snapshot index's shared Grant objects, whose
+scopes parse checked once.
 """
 
 from __future__ import annotations
@@ -43,10 +43,9 @@ class PrincipalRisk(NamedTuple):
     """Risk geometry of one service principal's effective grant set.
 
     radius, length (the perimeter) and pair_sum (of all distinct pairs'
-    distances) are integers in units of 1/unit; unit is kernels.SCALE
-    unless a distance has a denominator that does not divide it. The
+    distances) are integers in units of 2**-21 (kernels.SCALE). The
     public figures are exact Fractions built from them on each read.
-    A tuple of its six fields, as a Grant is of its three.
+    A tuple of its five fields, as a Grant is of its three.
     """
 
     spn: str
@@ -54,21 +53,20 @@ class PrincipalRisk(NamedTuple):
     radius: int
     length: int
     pair_sum: int
-    unit: int = kernels.SCALE
 
     @property
     def blast_radius(self) -> Fraction:
-        return Fraction(self.radius, self.unit)
+        return Fraction(self.radius, kernels.SCALE)
 
     @property
     def perimeter(self) -> Fraction:
-        return Fraction(self.length, self.unit)
+        return Fraction(self.length, kernels.SCALE)
 
     @property
     def mean_parts(self) -> tuple[int, int]:
         """Mean distance as an unreduced (numerator, denominator); 0 below two grants."""
         pairs = self.n * (self.n - 1) // 2
-        return (self.pair_sum, self.unit * pairs) if pairs else (0, 1)
+        return (self.pair_sum, kernels.SCALE * pairs) if pairs else (0, 1)
 
     @property
     def mean_distance(self) -> Fraction:
@@ -125,9 +123,9 @@ def nn_tour(grants: Sequence[Grant], dist: DistFn, start: int = 0) -> Tour:
         raise EmptyInput("nn_tour needs at least one grant")
     if not 0 <= start < n:
         raise EmptyInput(f"start index {start} out of range for {n} grants")
-    flat, unit = kernels.try_scale(kernels.build_matrix(grants, dist))
+    flat = kernels.try_scale(kernels.build_matrix(grants, dist))
     order, length = kernels.nn_tour_flat(flat, n, start)
-    return Tour(order=order, length=Fraction(length, unit))
+    return Tour(order=order, length=Fraction(length, kernels.SCALE))
 
 
 def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
@@ -140,8 +138,8 @@ def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
         raise EmptyInput("brute_force_tour needs at least one grant")
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"{n} grants exceed the exhaustive limit of {BRUTE_FORCE_LIMIT}")
-    flat, unit = kernels.try_scale(kernels.build_matrix(grants, dist))
-    return Fraction(kernels.brute_force_flat(flat, n), unit)
+    flat = kernels.try_scale(kernels.build_matrix(grants, dist))
+    return Fraction(kernels.brute_force_flat(flat, n), kernels.SCALE)
 
 
 def perimeter(grants: Iterable[Grant], dist: DistFn) -> Fraction:
@@ -195,15 +193,14 @@ def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> Princip
     return PrincipalRisk(spn, n, *_matrix_geometry(items, dist))
 
 
-def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[int, int, int, int]:
-    """Radius, nearest-neighbor tour length from index 0, pair sum and their unit.
+def _matrix_geometry(items: Sequence[Grant], dist: DistFn) -> tuple[int, int, int]:
+    """Radius, nearest-neighbor tour length from index 0 and pair sum.
 
-    All four are read off the matrix as kernels.try_scale returns it:
-    integers over one exact unit, so dyadic distances give the closed
-    form's record and any rational stays exact.
+    All three are read off the matrix as kernels.try_scale returns it:
+    integers in units of 2**-21, so the record matches the closed form's.
     """
     n = len(items)
-    flat, unit = kernels.try_scale(kernels.build_matrix(items, dist))
+    flat = kernels.try_scale(kernels.build_matrix(items, dist))
     _, length = kernels.nn_tour_flat(flat, n, 0)
     radius = max(max(flat[i * n + i + 1 : i * n + n]) for i in range(n - 1))
-    return radius, length, sum(flat) // 2, unit
+    return radius, length, sum(flat) // 2

@@ -2,10 +2,12 @@
 
 The distance formula, with its fixed read and write weights 1 and 2,
 admits exactly 22 values, one per (level, access) pair, so principals
-sharing a blast radius fall into the same band. Ranking sorts by radius first and breaks ties with the
-perimeter: a larger tour means more elongated permission geometry and
-ranks riskier. Band reports can be anonymized by shuffling rows under a
-seed and relabeling them with roman numerals.
+sharing a blast radius fall into the same band. The bands are one fixed
+census, looked up by the radius in units of 2**-21. Ranking sorts by
+radius first and breaks ties with the perimeter: a larger tour means
+more elongated permission geometry and ranks riskier. Band reports can
+be anonymized by shuffling rows under a seed and relabeling them with
+roman numerals.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import random
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from perimetric.errors import UnbandableRadius
@@ -61,57 +62,38 @@ class BandReportRow(NamedTuple):
     band: Band | None
 
 
-class BandCensus(tuple):
-    """A tuple of bands plus by_units, each band keyed by its value in 2**-21 units."""
-
-    def __new__(cls, bands: Iterable[Band]) -> "BandCensus":
-        census = super().__new__(cls, bands)
-        census.by_units = {band.value * SCALE: band for band in census}
-        return census
-
-
 def regime_for(band_value: Fraction) -> Regime:
     return Regime.TIGHT if band_value < TIGHT_RADIUS_BOUND else Regime.DISPERSED
 
 
-def enumerate_bands() -> BandCensus:
-    """All 22 bands in strictly decreasing radius order.
-
-    That is write, then read, at each level from the root down: a write one
-    level deeper is below a read, since WRITE_WEIGHT < 4 * READ_WEIGHT.
-    """
-    return BandCensus(
-        Band(value=Fraction(weight, 1 << (2 * level + 1)), level=level, access=access)
-        for level in range(11)
-        for access, weight in ((AccessClass.WRITE, WRITE_WEIGHT), (AccessClass.READ, READ_WEIGHT))
-    )
+# Write, then read, at each level from the root down: a write one level
+# deeper is below a read, since WRITE_WEIGHT < 4 * READ_WEIGHT.
+_BANDS = tuple(
+    Band(value=Fraction(weight, 1 << (2 * level + 1)), level=level, access=access)
+    for level in range(11)
+    for access, weight in ((AccessClass.WRITE, WRITE_WEIGHT), (AccessClass.READ, READ_WEIGHT))
+)
+_BAND_BY_UNITS = {int(band.value * SCALE): band for band in _BANDS}
 
 
-def band_of(radius: Fraction | int, bands: Sequence[Band], unit: int = 1) -> Band | None:
-    """Band whose value equals radius / unit exactly; None for radius 0.
+def enumerate_bands() -> tuple[Band, ...]:
+    """All 22 bands in strictly decreasing radius order; the same tuple on every call."""
+    return _BANDS
 
-    The band is a dict lookup on the value in units of 2**-21; a census
-    from enumerate_bands carries its index, other sequences are indexed
-    on each call.
-    """
+
+def band_of(radius: Fraction | int, unit: int = 1) -> Band | None:
+    """Band whose value equals radius / unit exactly; None for radius 0."""
     if radius == 0:
         return None
-    index = (bands if isinstance(bands, BandCensus) else BandCensus(bands)).by_units
-    band = index.get(radius if unit == SCALE else Fraction(radius * SCALE, unit))
+    band = _BAND_BY_UNITS.get(radius if unit == SCALE else Fraction(radius * SCALE, unit))
     if band is None:
         raise UnbandableRadius(f"radius {Fraction(radius, unit)} is not a canonical band value")
     return band
 
 
 def rank_spns(risks: Iterable[PrincipalRisk]) -> list[PrincipalRisk]:
-    """Sort by blast radius desc, perimeter desc, then spn id asc.
-
-    The keys are integers over the lcm of the records' units (one unit,
-    scale 1, on every CLI path).
-    """
-    risks = list(risks)
-    unit = lcm(*{r.unit for r in risks})
-    return sorted(risks, key=lambda r: (-r.radius * (unit // r.unit), -r.length * (unit // r.unit), r.spn))
+    """Sort by blast radius desc, perimeter desc, then spn id asc."""
+    return sorted(risks, key=lambda r: (-r.radius, -r.length, r.spn))
 
 
 def band_report(
@@ -127,16 +109,15 @@ def band_report(
     those with exactly one. With anonymize set, rows are shuffled by the
     seeded permutation and relabeled I, II, III, ... in shuffled order.
     """
-    bands = enumerate_bands()
     buckets: dict[str, list[PrincipalRisk]] = {}
     for risk in risks:
         if risk.radius == 0:
             continue
-        band = band_of(risk.radius, bands, risk.unit)
+        band = band_of(risk.radius, SCALE)
         buckets.setdefault(band.label, []).append(risk)
 
     rows = []
-    for band in bands:
+    for band in _BANDS:
         members = buckets.get(band.label)
         if not members:
             continue

@@ -159,8 +159,8 @@ def test_criterion_6_band_census():
     for tree, grants, dist in fuzz_corpus():
         raw = DistanceModel(tree)
         for a, b in combinations(grants, 2):
-            assert band_of(dist(a, b), bands) is not None
-            assert band_of(raw(a, b), bands) is not None
+            assert band_of(dist(a, b)) is not None
+            assert band_of(raw(a, b)) is not None
             pairs += 1
     return f"22 strictly decreasing values; band_of total on {pairs} fuzzed pair distances"
 
@@ -172,7 +172,6 @@ def test_criterion_7_regimes():
         GeneratorConfig(seed=20260808, tight_spns=200, dispersed_spns=200)
     )
     tree = snapshot.native_tree()
-    bands = enumerate_bands()
 
     risks = []
     archetypes = {}
@@ -180,7 +179,7 @@ def test_criterion_7_regimes():
         grants = resolve_effective_grants(spn, snapshot)
         risk = assess_principal(spn, grants, effective_distance(grants, tree))
         risks.append(risk)
-        band = band_of(risk.blast_radius, bands)
+        band = band_of(risk.blast_radius)
         assert band is not None
         archetypes.setdefault(band.label, set()).add(spn.split("-")[1])
 

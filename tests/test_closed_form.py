@@ -4,7 +4,7 @@ assess_principal reads an EffectiveDistance through its dendrogram; the
 matrix path (any other callable) and the exhaustive tour are the
 references. The integer record, its ranking, banding and rendering are
 checked against the Fraction arithmetic they replace, and the integer
-tour kernels, on tables of any rational unit, against Fraction loops.
+tour kernels, on tables of values on the 2**-21 grid, against Fraction loops.
 check_ultrametricity's bitset scan is checked against the plain cubic
 loop, DistanceModel's integer matrix against the Fraction matrix of
 per-pair calls, raw_violates against a full triple scan of the raw
@@ -20,7 +20,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
-from math import lcm
 from unittest.mock import patch
 
 import pytest
@@ -28,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimetric import kernels
-from perimetric.errors import UnbandableRadius, UnknownNode
+from perimetric.errors import UnknownNode
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree, lca
 from perimetric.metric import (
     AccessClass,
@@ -181,51 +180,19 @@ def test_integer_record_matches_fraction_oracle(case):
                 dist = lambda a, b, dist=dist: dist(a, b)  # noqa: E731
             risk = assess_principal(f"s{index}", grants, dist)
             oracle = fraction_assess(f"s{index}", grants, dist)
-            assert risk.unit == kernels.SCALE
             for field in _PUBLIC_FIELDS:
                 assert getattr(risk, field) == getattr(oracle, field), field
-            assert band_of(risk.radius, bands, risk.unit) == band_of_linear(oracle.blast_radius, bands)
+            assert band_of(risk.radius, kernels.SCALE) == band_of_linear(oracle.blast_radius, bands)
             risks.append(risk)
             oracles.append(oracle)
         assert [r.spn for r in rank_spns(risks)] == [r.spn for r in fraction_rank(oracles)]
 
 
-def test_non_dyadic_table_stays_exact():
-    thirds = {frozenset(pair): Fraction(1, 3) for pair in ((0, 1), (1, 2), (0, 2))}
-    thirds_risk = assess_principal("thirds", [0, 1, 2], lambda a, b: thirds[frozenset((a, b))])
-    assert thirds_risk.unit == 3 * kernels.SCALE
-    assert (thirds_risk.blast_radius, thirds_risk.perimeter) == (Fraction(1, 3), 1)
-    assert (thirds_risk.mean_distance, thirds_risk.spread_ratio) == (Fraction(1, 3), 1)
-    assert thirds_risk.ultracycle == Fraction(1, 3)
-    mixed = {frozenset((0, 1)): Fraction(1, 3), frozenset((1, 2)): Fraction(1, 5), frozenset((0, 2)): Fraction(1, 8)}
-    dist = lambda a, b: mixed[frozenset((a, b))]  # noqa: E731
-    risk = assess_principal("mixed", [0, 1, 2], dist)
-    oracle = fraction_assess("mixed", [0, 1, 2], dist)
-    assert risk.unit == 15 * kernels.SCALE
-    for field in _PUBLIC_FIELDS:
-        assert getattr(risk, field) == getattr(oracle, field), field
-    assert risk.mean_distance == Fraction(1, 3 * 3) + Fraction(1, 5 * 3) + Fraction(1, 8 * 3)
-    # records of different units rank on a common one, as on Fraction keys
-    tree, scopes = chain_tree()
-    dyadic = [Grant("a", READ, scopes[0]), Grant("b", WRITE, scopes[1])]
-    ranked = [risk, thirds_risk] + [
-        assess_principal(spn, dyadic, effective_distance(dyadic, tree)) for spn in ("d1", "d0")
-    ]
-    assert [r.spn for r in rank_spns(ranked)] == ["d0", "d1", "thirds", "mixed"]
-    assert rank_spns(ranked) == fraction_rank(ranked)
-    # a band is found whatever the unit; radius 1/3 is in no band
-    bands = enumerate_bands()
-    for census in (bands, list(bands)):  # a plain sequence is indexed on the call
-        assert band_of(3 * kernels.SCALE, census, 3 * kernels.SCALE) == band_of_linear(1, bands)
-    with pytest.raises(UnbandableRadius, match="radius 1/3 is not"):
-        band_of(thirds_risk.radius, bands, thirds_risk.unit)
-
-
-# Distances of every kind the matrix path scales to one unit: dyadics down to
-# 2**-21, thirds, fifths and sevenths, plain ints, and ints of 2**40 and above.
+# Distances of every kind the matrix path scales onto the 2**-21 grid: dyadics
+# down to 2**-21, plain ints, and ints of 2**40 and above. Values off the grid
+# are rejected (test_kernels.py::test_off_grid_distances_raise_value_error).
 _TABLE_VALUES = st.one_of(
     st.builds(Fraction, st.integers(0, 2**22), st.sampled_from([2**e for e in range(22)])),
-    st.builds(Fraction, st.integers(0, 30), st.sampled_from([3, 5, 7])),
     st.integers(0, 100),
     st.integers(2**40, 2**64),
 )
@@ -260,7 +227,6 @@ def test_integer_kernels_match_fraction_oracles(case):
     oracle = fraction_assess("t", points, dist)
     for field in _PUBLIC_FIELDS:
         assert getattr(risk, field) == getattr(oracle, field), field
-    assert risk.unit == lcm(kernels.SCALE, *(Fraction(v).denominator for v in table.values()))
     float_dist = lambda a, b: float(dist(a, b))  # noqa: E731
     if n >= 2:
         for call in (nn_tour, brute_force_tour, partial(assess_principal, "t")):
@@ -323,7 +289,7 @@ def distance_models(draw):
 @given(distance_models())
 def test_integer_path_matches_per_pair_calls(case):
     dist, grants = case
-    assert (dist.matrix(grants), kernels.SCALE) == kernels.try_scale(kernels.build_matrix(grants, dist))
+    assert dist.matrix(grants) == kernels.try_scale(kernels.build_matrix(grants, dist))
     # a plain callable is not a DistanceModel, so it takes the generic path
     for cap in (1, 7, 100):
         assert check_ultrametricity(grants, dist, limit=cap) == check_ultrametricity(
@@ -580,7 +546,7 @@ def test_closed_form_reads_the_set_in_any_order(instance, repeated):
 _VALUE_POOLS = (
     [Fraction(1, 2**k) for k in (1, 3, 5, 7)],  # dyadic: scaled to integers
     [0, 1, 2, 3],
-    [Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), Fraction(1, 7)],  # not dyadic
+    [1 << 40, 1 << 41, 1 << 63, 1 << 64],  # large ints
 )
 
 

@@ -1,12 +1,13 @@
 """Matrix kernels: integer scaling, exact results, tie-breaks, traced names."""
 
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from perimetric import kernels
 from perimetric.metric import AccessClass, DistanceModel, Grant, HierarchyFamily, check_ultrametricity
-from perimetric.perimeter import Tour, brute_force_tour, nn_tour, perimeter
+from perimetric.perimeter import assess_principal, brute_force_tour, nn_tour, perimeter
 
 from helpers import chain_tree
 
@@ -72,24 +73,26 @@ def test_nn_tour_tie_break_prefers_lowest_index():
 
 def test_try_scale_dyadic_values():
     scaled = kernels.try_scale([Fraction(1, 2), 1, 0, Fraction(1, 2**21)])
-    assert scaled == ([2**20, 2**21, 0, 1], kernels.SCALE)
-    assert kernels.try_scale([Fraction(1, 3)]) == ([2**21], 3 * 2**21)
-    assert kernels.try_scale([1 << 45]) == ([1 << 66], kernels.SCALE)
+    assert scaled == [2**20, 2**21, 0, 1]
+    assert kernels.try_scale([1 << 45]) == [1 << 66]
     with pytest.raises(TypeError):
         kernels.try_scale([float("nan")])
 
 
-def test_kernels_stay_exact_on_non_dyadic_values():
-    # 1/3 is not dyadic: the unit grows to 3 * 2**21 and the kernels stay exact
-    third = Fraction(1, 3)
-    table = {frozenset(pair): third for pair in ((0, 1), (1, 2), (0, 2))}
-    dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
-    assert nn_tour([0, 1, 2], dist) == Tour((0, 1, 2, 0), Fraction(1))
-    assert brute_force_tour([0, 1, 2], dist) == 1
-    flat, unit = kernels.try_scale(kernels.build_matrix([0, 1, 2], dist))
-    assert kernels.nn_tour_flat(flat, 3, 0) == ((0, 1, 2, 0), unit)
-    assert kernels.brute_force_flat(flat, 3) == unit
-    assert kernels.violations_flat(flat, 3, 100) == []
+def test_off_grid_distances_raise_value_error():
+    # every generic path scales its matrix onto the 2**-21 grid, so one
+    # distance off it among distances on it is rejected
+    for off_grid in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 2**22)):
+        with pytest.raises(ValueError, match=f"distance {off_grid} is not"):
+            kernels.try_scale([Fraction(1, 2), off_grid])
+        table = {frozenset((0, 1)): off_grid, frozenset((1, 2)): Fraction(1, 8), frozenset((0, 2)): Fraction(1, 8)}
+        dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
+        float_dist = lambda a, b: float(dist(a, b))  # noqa: E731
+        for call in (nn_tour, brute_force_tour, partial(assess_principal, "t"), check_ultrametricity):
+            with pytest.raises(ValueError, match="not a whole number of 2\\*\\*-21 units"):
+                call([0, 1, 2], dist)
+            with pytest.raises(TypeError):
+                call([0, 1, 2], float_dist)
 
 
 def test_tour_wrappers_return_exact_fractions():

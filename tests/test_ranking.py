@@ -18,18 +18,18 @@ from perimetric.ranking import (
     render_band_report_json,
 )
 
-from helpers import random_grants, random_tree
+from helpers import band_of_linear, random_grants, random_tree
 
 
-def _risk(spn, radius, perimeter=Fraction(0), ratio=Fraction(1), n=3):
+def _risk(spn, radius, perimeter=Fraction(0), ratio=Fraction(1)):
     """A record with these figures; a ratio other than 1 needs a positive perimeter.
 
-    The unit is chosen so that the pair sum is an integer, so it varies with
-    the ratio and rank_spns meets records of different units.
+    The spread ratio is length * (n - 1) / (2 * pair_sum), so n is chosen as
+    2 * ratio.numerator + 1 to make the pair sum an integer in units of 2**-21.
     """
-    unit = 2 * ratio.numerator * kernels.SCALE
-    pair_sum = perimeter * kernels.SCALE * (n - 1) * ratio.denominator
-    return PrincipalRisk(spn, n, int(radius * unit), int(perimeter * unit), int(pair_sum), unit)
+    n = 2 * ratio.numerator + 1
+    length = perimeter * kernels.SCALE
+    return PrincipalRisk(spn, n, int(radius * kernels.SCALE), int(length), int(length * ratio.denominator))
 
 
 def test_band_census_is_22_strictly_decreasing():
@@ -54,28 +54,34 @@ def test_band_census_matches_distance_image():
 
 def test_band_of_head_zero_and_inversion():
     bands = enumerate_bands()
-    head = band_of(Fraction(1), bands)
+    assert enumerate_bands() is bands
+    for band in bands:
+        assert band_of(band.value) is band
+        assert band_of(band.value * kernels.SCALE, kernels.SCALE) is band
+        assert band_of_linear(band.value, bands) is band
+    head = band_of(Fraction(1))
     assert head.level == 0 and head.access is AccessClass.WRITE
-    assert band_of(Fraction(0), bands) is None
-    sub_read = band_of(Fraction(1, 2**15), bands)
+    assert band_of(Fraction(0)) is None
+    assert band_of(0, kernels.SCALE) is None
+    sub_read = band_of(Fraction(1, 2**15))
     assert sub_read.level == 7 and sub_read.access is AccessClass.READ
     assert sub_read.label == "subscription:read"
 
 
 def test_band_of_rejects_off_census_radius():
-    with pytest.raises(UnbandableRadius):
-        band_of(Fraction(3, 2**21), enumerate_bands())
+    for radius, unit in ((Fraction(3, 2**21), 1), (3, kernels.SCALE), (Fraction(1, 3), 1), (1, 3 * kernels.SCALE)):
+        with pytest.raises(UnbandableRadius):
+            band_of(radius, unit)
 
 
 def test_band_of_total_on_fuzzed_grant_pairs():
     rng = random.Random(23)
-    bands = enumerate_bands()
     for _ in range(15):
         tree = random_tree(rng)
         grants = random_grants(rng, tree, 10)
         dist = DistanceModel(tree)
         for a, b in combinations(grants, 2):
-            assert band_of(dist(a, b), bands) is not None
+            assert band_of(dist(a, b)) is not None
 
 
 def test_rank_primary_key_radius():

@@ -13,7 +13,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import perimetric
-from perimetric import kernels
 from perimetric.ingestion import AlternateHierarchy, Assignment, Group
 from perimetric.metric import AccessClass, DistanceModel, Grant
 from perimetric.perimeter import PrincipalRisk, Tour
@@ -31,8 +30,8 @@ RECORDS = [
     (Assignment, ("principal", "action", "access", "scope"), st.tuples(texts, texts, accesses, texts)),
     (
         PrincipalRisk,
-        ("spn", "n", "radius", "length", "pair_sum", "unit"),
-        st.tuples(texts, *[st.integers(0, 3)] * 4, st.sampled_from([kernels.SCALE, 3])),
+        ("spn", "n", "radius", "length", "pair_sum"),
+        st.tuples(texts, *[st.integers(0, 3)] * 4),
     ),
     (Group, ("id", "members"), st.tuples(texts, st.lists(texts, max_size=3).map(tuple))),
     (
@@ -74,7 +73,7 @@ def test_reprs_read_as_before():
         "Grant(action='ReadBlob', access=<AccessClass.READ: 'read'>, scope='sub')"
     )
     assert repr(PrincipalRisk("svc", 1, 0, 0, 0)) == (
-        f"PrincipalRisk(spn='svc', n=1, radius=0, length=0, pair_sum=0, unit={kernels.SCALE})"
+        "PrincipalRisk(spn='svc', n=1, radius=0, length=0, pair_sum=0)"
     )
     assert repr(DistanceModel("tree")) == "DistanceModel(hierarchy='tree')"
     assert repr(Band(Fraction(1, 2), 0, READ)) == (

@@ -1,0 +1,47 @@
+"""Every name a module under src/perimetric imports is used in that module.
+
+A name left behind by a deletion (an `lcm`, an `Iterable`) still costs its
+import on every run, and its module's compile too wherever no bytecode
+cache is written. `__init__.py` imports names only to export them, and
+`from __future__` imports are compiler switches, so both are skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perimetric"
+MODULES = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import statement anywhere in `source` and never read there."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    # an attribute chain starts at a Name, so `kernels.SCALE` reads `kernels`
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_a_name_left_behind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import gcd, lcm\n"
+        "from typing import Iterable as It, Sequence\n"
+        "def f(x: Sequence) -> int:\n"
+        "    import json\n"
+        "    return gcd(x, 2) + len(os.sep)\n"
+    )
+    assert unused_imports(source) == ["It", "json", "lcm"]
