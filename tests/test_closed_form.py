@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perimetric import kernels
-from perimetric.errors import UnknownNode
+from perimetric.errors import UnbandableRadius, UnknownNode
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind, build_tree, lca
 from perimetric.metric import (
     AccessClass,
@@ -188,9 +188,36 @@ def test_integer_record_matches_fraction_oracle(case):
         assert [r.spn for r in rank_spns(risks)] == [r.spn for r in fraction_rank(oracles)]
 
 
+def test_non_dyadic_table_stays_exact():
+    # a table of thirds or fifths is refused, never rounded onto the 2**-21
+    # grid: the closed form's generic path and the ultrametricity check raise
+    thirds = {frozenset(pair): Fraction(1, 3) for pair in ((0, 1), (1, 2), (0, 2))}
+    mixed = {frozenset((0, 1)): Fraction(1, 3), frozenset((1, 2)): Fraction(1, 5), frozenset((0, 2)): Fraction(1, 8)}
+    for table in (thirds, mixed):
+        dist = lambda a, b, table=table: table[frozenset((a, b))]  # noqa: E731
+        float_dist = lambda a, b, dist=dist: float(dist(a, b))  # noqa: E731
+        for call in (partial(assess_principal, "t"), check_ultrametricity):
+            with pytest.raises(ValueError, match="distance 1/3 is not a whole number of 2\\*\\*-21 units"):
+                call([0, 1, 2], dist)
+            with pytest.raises(TypeError):
+                call([0, 1, 2], float_dist)
+    # records on the grid rank as on Fraction keys
+    tree, scopes = chain_tree()
+    dyadic = [Grant("a", READ, scopes[0]), Grant("b", WRITE, scopes[1])]
+    ranked = [assess_principal(spn, dyadic, effective_distance(dyadic, tree)) for spn in ("d1", "d0")]
+    assert [r.spn for r in rank_spns(ranked)] == ["d0", "d1"]
+    assert rank_spns(ranked) == fraction_rank(ranked)
+    # a band is found whatever the unit; radius 1/3 is in no band
+    assert band_of(3 * kernels.SCALE, 3 * kernels.SCALE) == band_of_linear(1, enumerate_bands())
+    with pytest.raises(UnbandableRadius, match="radius 1/3 is not"):
+        band_of(Fraction(1, 3))
+    with pytest.raises(UnbandableRadius, match="radius 1/3 is not"):
+        band_of(kernels.SCALE, 3 * kernels.SCALE)
+
+
 # Distances of every kind the matrix path scales onto the 2**-21 grid: dyadics
 # down to 2**-21, plain ints, and ints of 2**40 and above. Values off the grid
-# are rejected (test_kernels.py::test_off_grid_distances_raise_value_error).
+# are rejected (test_non_dyadic_table_stays_exact, and in test_kernels.py).
 _TABLE_VALUES = st.one_of(
     st.builds(Fraction, st.integers(0, 2**22), st.sampled_from([2**e for e in range(22)])),
     st.integers(0, 100),

@@ -1,13 +1,12 @@
 """Matrix kernels: integer scaling, exact results, tie-breaks, traced names."""
 
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
 from perimetric import kernels
 from perimetric.metric import AccessClass, DistanceModel, Grant, HierarchyFamily, check_ultrametricity
-from perimetric.perimeter import assess_principal, brute_force_tour, nn_tour, perimeter
+from perimetric.perimeter import brute_force_tour, nn_tour, perimeter
 
 from helpers import chain_tree
 
@@ -79,16 +78,16 @@ def test_try_scale_dyadic_values():
         kernels.try_scale([float("nan")])
 
 
-def test_off_grid_distances_raise_value_error():
-    # every generic path scales its matrix onto the 2**-21 grid, so one
-    # distance off it among distances on it is rejected
+def test_kernels_stay_exact_on_non_dyadic_values():
+    # the kernels work on the 2**-21 grid and never round onto it: a distance
+    # off the grid among distances on it raises ValueError, a float TypeError
     for off_grid in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(1, 7), Fraction(1, 2**22)):
         with pytest.raises(ValueError, match=f"distance {off_grid} is not"):
             kernels.try_scale([Fraction(1, 2), off_grid])
         table = {frozenset((0, 1)): off_grid, frozenset((1, 2)): Fraction(1, 8), frozenset((0, 2)): Fraction(1, 8)}
         dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
         float_dist = lambda a, b: float(dist(a, b))  # noqa: E731
-        for call in (nn_tour, brute_force_tour, partial(assess_principal, "t"), check_ultrametricity):
+        for call in (nn_tour, brute_force_tour):
             with pytest.raises(ValueError, match="not a whole number of 2\\*\\*-21 units"):
                 call([0, 1, 2], dist)
             with pytest.raises(TypeError):
