@@ -27,6 +27,7 @@ WRITE_ACTIONS = (
     "DeleteBlob", "SendQueueMessage", "WriteBlob", "WriteConfiguration",
     "WriteFileShare", "WriteSecret", "WriteTableEntity", "WriteTopicMessage",
 )
+WRITE_FRACTION = 0.4  # chance that a drawn grant is a write
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class GeneratorConfig:
     tight_spns: int = 0
     dispersed_spns: int = 0
     mixed_spns: int = 0
-    write_fraction: float = 0.4
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or not -(2**63) <= self.seed < 2**64:
@@ -58,8 +58,6 @@ class GeneratorConfig:
         for name, value in counts.items():
             if not isinstance(value, int) or value < 0:
                 raise InvalidConfig(f"{name} must be a non-negative integer, got {value!r}")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise InvalidConfig("write_fraction must be within [0, 1]")
         if self.subscriptions < 1:
             raise InvalidConfig("at least one subscription is required")
         needs_resources = self.tight_spns or self.dispersed_spns
@@ -113,7 +111,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
     assignments: list[Assignment] = []
 
     def pick_access() -> AccessClass:
-        return AccessClass.WRITE if rng.random() < config.write_fraction else AccessClass.READ
+        return AccessClass.WRITE if rng.random() < WRITE_FRACTION else AccessClass.READ
 
     def actions_for(access: AccessClass, count: int) -> list[str]:
         pool = WRITE_ACTIONS if access is AccessClass.WRITE else READ_ACTIONS

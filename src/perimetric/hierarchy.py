@@ -5,14 +5,16 @@ management groups nested at most 6 deep, then subscriptions, resource
 groups, resources and resource parts. Every node gets a canonical level
 used by the distance formula: the tenant root is 0, a management group
 takes its nesting depth (1..6), subscriptions are 7, resource groups 8,
-resources 9 and resource parts 10. Trees are immutable after build.
+resources 9 and resource parts 10, so levels rise strictly down every root
+path. A HierarchyNode is a tuple of (id, kind, parent); a TenantTree is two
+maps, node -> parent (None at the root) and node -> canonical level, immutable
+after build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from perimetric.errors import (
     CycleDetected,
@@ -62,21 +64,17 @@ _KIND_LEVELS = {
 }
 
 
-# Dataclasses, not NamedTuples: tree walks read a field on every step, and a dataclass reads it faster.
-@dataclass(frozen=True)
-class HierarchyNode:
+class HierarchyNode(NamedTuple):
     id: str
     kind: NodeKind
     parent: str | None = None
 
 
-@dataclass(frozen=True)
-class TenantTree:
-    """Validated tenant hierarchy. Treat as immutable."""
+class TenantTree(NamedTuple):
+    """Validated tenant hierarchy: each node's parent (None at the root) and canonical level."""
 
-    nodes: dict[str, HierarchyNode]
+    parent: dict[str, str | None]
     canonical_level: dict[str, int]
-    depth: dict[str, int]
 
 
 def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> TenantTree:
@@ -143,25 +141,22 @@ def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> Tena
         else:
             levels[node.id] = _KIND_LEVELS[node.kind]
 
-    return TenantTree(nodes=by_id, canonical_level=levels, depth=depth)
+    return TenantTree({nid: node.parent for nid, node in by_id.items()}, levels)
 
 
 def meet(tree: TenantTree, a: str, b: str) -> tuple[str, str | None, str | None]:
     """The LCA of a and b, and the last node below it on each side (None for the LCA itself)."""
+    parent, level = tree
     for node_id in (a, b):
-        if node_id not in tree.nodes:
+        if node_id not in parent:
             raise UnknownNode(f"node {node_id!r} not in tree")
     ca = cb = None
-    da, db = tree.depth[a], tree.depth[b]
-    while da > db:
-        ca, a = a, tree.nodes[a].parent  # type: ignore[assignment]
-        da -= 1
-    while db > da:
-        cb, b = b, tree.nodes[b].parent  # type: ignore[assignment]
-        db -= 1
-    while a != b:
-        ca, a = a, tree.nodes[a].parent  # type: ignore[assignment]
-        cb, b = b, tree.nodes[b].parent  # type: ignore[assignment]
+    while a != b:  # the side at the higher level (both, on a tie) is below the LCA
+        la, lb = level[a], level[b]
+        if la >= lb:
+            ca, a = a, parent[a]
+        if lb >= la:
+            cb, b = b, parent[b]
     return a, ca, cb
 
 

@@ -23,8 +23,8 @@ check runs, assignments are checked as tuples in one pass, and duplicates are
 dropped in input order before one sort. Scopes are checked here, once: the
 closures built on resolved grants do not check them again.
 
-Assignment, Group and AlternateHierarchy, like Grant, are tuples of their
-fields; TenantSnapshot stays a dataclass, for its cached properties. The grant
+Assignment, Group, AlternateHierarchy and HierarchyNode, like Grant, are tuples
+of their fields; TenantSnapshot stays a dataclass, for its cached properties. The grant
 index keeps one Grant object per distinct (action, access, scope), shared by
 every principal that holds it, whether the snapshot was parsed or built with
 TenantSnapshot(...).
@@ -261,7 +261,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
     for principal, action, access, scope in rows:
         if not (
             type(principal) is str and type(action) is str and type(access) is str and type(scope) is str
-            and action and principal in seen_principals and access in _ACCESS and scope in tree.nodes
+            and action and principal in seen_principals and access in _ACCESS and scope in tree.parent
         ):
             _reject_assignments(raw_assignments, seen_principals, tree)
 
@@ -280,9 +280,9 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
                 isinstance(parent, str) and parent != "",
                 f"alternate {name!r}: parent of {child!r} must be a node id",
             )
-            if child not in tree.nodes:
+            if child not in tree.parent:
                 raise UnknownReference(f"alternate {name!r} re-parents unknown node {child!r}")
-            if parent not in tree.nodes:
+            if parent not in tree.parent:
                 raise UnknownReference(f"alternate {name!r} names unknown parent {parent!r}")
         alternates.append(
             AlternateHierarchy(name=name, parents=tuple(sorted(parents.items())))
@@ -322,7 +322,7 @@ def _reject_assignments(entries: list, principals: set[str], tree: TenantTree) -
         scope = _string_field(entry, "scope", f"assignment for {principal!r}")
         if principal not in principals:
             raise UnknownReference(f"assignment principal {principal!r} is not declared")
-        if scope not in tree.nodes:
+        if scope not in tree.parent:
             raise UnknownReference(f"assignment scope {scope!r} is not in the hierarchy")
     raise AssertionError("no invalid assignment entry")
 

@@ -72,14 +72,6 @@ def pair_impact(a: Grant, b: Grant) -> int:
     return WRITE_WEIGHT if AccessClass.WRITE in (a.access, b.access) else READ_WEIGHT
 
 
-def distance(a: Grant, b: Grant, tree: TenantTree) -> Fraction:
-    """Exact dyadic distance between two grants under one hierarchy."""
-    if a == b:
-        return Fraction(0)
-    level = lca_level(tree, a.scope, b.scope)
-    return Fraction(pair_impact(a, b), 1 << (2 * level + 1))
-
-
 @dataclass(frozen=True)
 class HierarchyFamily:
     """A native hierarchy plus named re-parented alternates.
@@ -92,13 +84,12 @@ class HierarchyFamily:
     alternates: tuple[tuple[str, TenantTree], ...] = ()
 
     def __post_init__(self) -> None:
-        native_ids = set(self.native.nodes)
         seen = set()
         for name, tree in self.alternates:
             if name in seen:
                 raise ValueError(f"alternate hierarchy name {name!r} repeated")
             seen.add(name)
-            if set(tree.nodes) != native_ids:
+            if tree.parent.keys() != self.native.parent.keys():
                 raise ValueError(
                     f"alternate {name!r} does not cover the native node-id set"
                 )
@@ -109,20 +100,16 @@ class HierarchyFamily:
         yield from self.alternates
 
 
-def infimum_distance(a: Grant, b: Grant, family: HierarchyFamily) -> Fraction:
-    """Pointwise minimum of the distance across the family, hence at the deepest LCA level.
+def _members(hierarchy: TenantTree | HierarchyFamily) -> list[tuple[str | None, TenantTree]]:
+    """(name, tree) pairs, native first; a bare tree is a family of one, with no name."""
+    if isinstance(hierarchy, HierarchyFamily):
+        return list(hierarchy.members())
+    return [(None, hierarchy)]
 
-    Tighter than any single member, but no longer ultrametric in general.
-    """
-    if a == b:
-        return Fraction(0)
-    level = 0
-    for name, tree in family.members():
-        try:
-            level = max(level, lca_level(tree, a.scope, b.scope))
-        except UnknownNode as exc:
-            raise UnknownNode(f"{exc} (hierarchy {name!r})") from None
-    return Fraction(pair_impact(a, b), 1 << (2 * level + 1))
+
+def _unknown(scope: str, name: str | None) -> UnknownNode:
+    """The error for a scope missing from the tree called `name` (None for a bare tree)."""
+    return UnknownNode(f"node {scope!r} not in tree" + (f" (hierarchy {name!r})" if name is not None else ""))
 
 
 class DistanceModel(NamedTuple):
@@ -131,9 +118,16 @@ class DistanceModel(NamedTuple):
     hierarchy: TenantTree | HierarchyFamily
 
     def __call__(self, a: Grant, b: Grant) -> Fraction:
-        if isinstance(self.hierarchy, HierarchyFamily):
-            return infimum_distance(a, b, self.hierarchy)
-        return distance(a, b, self.hierarchy)
+        """The raw distance at the deepest LCA level across the members; 0 for equal grants."""
+        if a == b:
+            return Fraction(0)
+        level = 0
+        for name, tree in _members(self.hierarchy):
+            for scope in (a.scope, b.scope):
+                if scope not in tree.parent:
+                    raise _unknown(scope, name)
+            level = max(level, lca_level(tree, a.scope, b.scope))
+        return Fraction(pair_impact(a, b), 1 << (2 * level + 1))
 
     def matrix(self, points: Sequence[Grant]) -> list[int]:
         """Flat row-major matrix of this distance over `points`, in integer units of 2**-21.
@@ -144,10 +138,6 @@ class DistanceModel(NamedTuple):
         points are at 0. With two or more distinct points, the first unknown
         scope in `points` order raises UnknownNode, as a per-pair call would.
         """
-        if isinstance(self.hierarchy, HierarchyFamily):
-            trees = list(self.hierarchy.members())
-        else:
-            trees = [(None, self.hierarchy)]
         n = len(points)
         flat = [0] * (n * n)
         if len(set(points)) < 2:
@@ -159,7 +149,7 @@ class DistanceModel(NamedTuple):
         # table[max(access of i, access of j)][level]; the n * n cells share these ints
         weights = (READ_WEIGHT, WRITE_WEIGHT)
         table = [[w << (kernels.SCALE_BITS - 2 * level - 1) for level in range(MAX_LEVEL + 1)] for w in weights]
-        levels = _scope_levels(scopes, trees)
+        levels = _scope_levels(scopes, _members(self.hierarchy))
         pick = itemgetter(*keys)
         with_key: dict[int, list[int]] = {}
         for i, key in enumerate(keys):
@@ -181,6 +171,19 @@ class DistanceModel(NamedTuple):
         return flat
 
 
+def distance(a: Grant, b: Grant, tree: TenantTree) -> Fraction:
+    """Exact dyadic distance between two grants under one hierarchy."""
+    return DistanceModel(tree)(a, b)
+
+
+def infimum_distance(a: Grant, b: Grant, family: HierarchyFamily) -> Fraction:
+    """Pointwise minimum of the distance across the family, hence at the deepest LCA level.
+
+    Tighter than any single member, but no longer ultrametric in general.
+    """
+    return DistanceModel(family)(a, b)
+
+
 def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, TenantTree]]) -> list[list[int]]:
     """levels[s][t]: the largest canonical level of a node above both scopes[s] and scopes[t].
 
@@ -193,21 +196,20 @@ def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, Tenan
     """
     m = len(scopes)
     levels = [[0] * m for _ in range(m)]
-    for name, tree in trees:
+    for name, (parent_of, level_of) in trees:
         under: dict[str, list[int]] = {}  # node -> indices of the scopes at or below it
         via: dict[str, str] = {}  # node -> a child some of those scopes sit under
         for t, scope in enumerate(scopes):
-            if scope not in tree.nodes:
-                where = f" (hierarchy {name!r})" if name is not None else ""
-                raise UnknownNode(f"node {scope!r} not in tree{where}")
+            if scope not in parent_of:
+                raise _unknown(scope, name)
             node = scope
             under.setdefault(node, []).append(t)
-            while (parent := tree.nodes[node].parent) is not None:
+            while (parent := parent_of[node]) is not None:
                 via[parent] = node
                 under.setdefault(parent, []).append(t)
                 node = parent
         for node, members in under.items():
-            level = tree.canonical_level[node]
+            level = level_of[node]
             if level == 0 or (node in via and len(under[via[node]]) == len(members)):
                 continue
             for s in members:
@@ -230,17 +232,15 @@ def _one_tree_one_class(points: Sequence[Grant], model: DistanceModel) -> bool:
         return True
     if len({g.access for g in points}) > 1:
         return False
-    family = isinstance(model.hierarchy, HierarchyFamily)
-    native = model.hierarchy.native if family else model.hierarchy
+    (name, native), *alternates = _members(model.hierarchy)
     path: dict[str, str | None] = {}  # node on a scope's native root path -> its parent
     for scope in dict.fromkeys(g.scope for g in points):
-        if scope not in native.nodes:
-            raise UnknownNode(f"node {scope!r} not in tree" + (" (hierarchy 'native')" if family else ""))
+        if scope not in native.parent:
+            raise _unknown(scope, name)
         node = scope
         while node is not None and node not in path:
-            path[node] = node = native.nodes[node].parent
-    alternates = model.hierarchy.alternates if family else ()
-    return all(tree.nodes[n].parent == p for _, tree in alternates for n, p in path.items())
+            path[node] = node = native.parent[node]
+    return all(tree.parent[n] == p for _, tree in alternates for n, p in path.items())
 
 
 class EffectiveDistance:
@@ -275,14 +275,14 @@ class EffectiveDistance:
 
     @cached_property
     def _dirty(self) -> set[str]:
-        nodes, dirty = self._tree.nodes, set()
+        parent_of, dirty = self._tree.parent, set()
         for grant in self._grants:  # a repeated write stops at its scope, already dirty
-            if grant.scope not in nodes:
-                raise UnknownNode(f"node {grant.scope!r} not in tree")
+            if grant.scope not in parent_of:
+                raise _unknown(grant.scope, None)
             node = grant.scope if grant.access is AccessClass.WRITE else None
             while node is not None and node not in dirty:
                 dirty.add(node)
-                node = nodes[node].parent
+                node = parent_of[node]
         return dirty
 
     def __call__(self, a: Grant, b: Grant) -> Fraction:
@@ -309,34 +309,33 @@ class EffectiveDistance:
         built; for a proper subset the dirty set decides, so every figure is the closure's
         own distances over the subset. The first unknown scope, in order, raises UnknownNode.
         """
-        tree = self._tree
-        nodes, depth_of, level_of = tree.nodes, tree.depth, tree.canonical_level
+        parent_of, level_of = self._tree
         items = dict.fromkeys(grants)
         own = len(items) == self._distinct
         raised_nodes = None if own else self._dirty
         # node -> count, size sum and size-square sum of its clean blocks, then of its dirty ones
         blocks: dict[str, list[int]] = {}
-        by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]  # depth <= level
+        by_level: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]  # a parent's level is below its child's
         for grant in items:
             scope = grant.scope
             here = blocks.get(scope)
             if here is None:
-                if scope not in nodes:
-                    raise UnknownNode(f"node {scope!r} not in tree")
+                if scope not in parent_of:
+                    raise _unknown(scope, None)
                 here = blocks[scope] = [0, 0, 0, 0, 0, 0]
-                by_depth[depth_of[scope]].append(scope)
+                by_level[level_of[scope]].append(scope)
             k = 3 if grant.access is AccessClass.WRITE else 0
             here[k] += 1
             here[k + 1] += 1
             here[k + 2] += 1
         height = length = pair_sum = 0
-        for depth in range(len(by_depth) - 1, -1, -1):
-            for node in by_depth[depth]:
+        for level in range(MAX_LEVEL, -1, -1):
+            for node in by_level[level]:
                 here = blocks.pop(node)
                 clean, clean_sum, clean_squares, dirty, dirty_sum, dirty_squares = here
                 size = clean_sum + dirty_sum
                 if clean + dirty > 1:  # a lone block passes up as it is
-                    shift = kernels.SCALE_BITS - (2 * level_of[node] + 1)
+                    shift = kernels.SCALE_BITS - (2 * level + 1)
                     height = READ_WEIGHT << shift
                     if clean:  # the clean blocks merge at read height
                         length += height * (clean - 1)
@@ -347,11 +346,11 @@ class EffectiveDistance:
                         pair_sum += height * ((size * size - clean_sum * clean_sum - dirty_squares) >> 1)
                 if not blocks:  # this node holds every grant
                     return len(items), height, length + height, pair_sum
-                parent = nodes[node].parent
+                parent = parent_of[node]
                 raised = dirty if own else node in raised_nodes
                 up = blocks.get(parent)
                 if up is None:
-                    by_depth[depth - 1].append(parent)
+                    by_level[level_of[parent]].append(parent)
                     if clean + dirty == 1 and raised == dirty:  # a lone block's entry is its new parent's
                         blocks[parent] = here
                         continue

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+DIGITS = 6  # decimals in every fixed-point figure a report prints
+
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
     (100, "C"), (90, "XC"), (50, "L"), (40, "XL"),
@@ -17,19 +19,19 @@ _ROMAN = (
 )
 
 
-def format_fixed(num: Fraction | int, den: int = 1, digits: int = 6) -> str:
-    """Render num / den, an exact non-negative rational, with fixed decimals, half-to-even.
+def format_fixed(num: Fraction | int, den: int = 1) -> str:
+    """Render num / den, an exact non-negative rational, with DIGITS fixed decimals, half-to-even.
 
     The quotient need not be reduced; a Fraction num is divided by den.
     """
     # int first: an isinstance check against Fraction runs ABCMeta's Python-level hook
     if not isinstance(num, int) and isinstance(num, Fraction):
         num, den = num.numerator, num.denominator * den
-    q, r = divmod(num * 10**digits, den)
+    q, r = divmod(num * 10**DIGITS, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
-    whole, part = divmod(q, 10**digits)
-    return f"{whole}.{part:0{digits}d}"
+    whole, part = divmod(q, 10**DIGITS)
+    return f"{whole}.{part:0{DIGITS}d}"
 
 
 def fraction_str(num: Fraction | int, den: int = 1) -> str:

@@ -90,17 +90,18 @@ _CHAIN_KINDS = (
 )
 
 
+def chain_nodes() -> list[HierarchyNode]:
+    """The nodes of a maximal-depth chain, root first: node lvlNN sits at canonical level NN."""
+    nodes: list[HierarchyNode] = []
+    for level, kind in enumerate(_CHAIN_KINDS):
+        nodes.append(HierarchyNode(f"lvl{level:02d}", kind, nodes[-1].id if nodes else None))
+    return nodes
+
+
 def chain_tree() -> tuple[TenantTree, dict[int, str]]:
     """A maximal-depth chain plus the level -> node-id map."""
-    nodes = []
-    level_scope = {}
-    parent = None
-    for level, kind in enumerate(_CHAIN_KINDS):
-        node_id = f"lvl{level:02d}"
-        nodes.append(HierarchyNode(node_id, kind, parent))
-        level_scope[level] = node_id
-        parent = node_id
-    return build_tree(nodes), level_scope
+    nodes = chain_nodes()
+    return build_tree(nodes), {level: node.id for level, node in enumerate(nodes)}
 
 
 def grants_at(scope: str, n: int, access: AccessClass = AccessClass.READ) -> list[Grant]:
@@ -108,8 +109,8 @@ def grants_at(scope: str, n: int, access: AccessClass = AccessClass.READ) -> lis
     return [Grant(f"a{i:02d}", access, scope) for i in range(n)]
 
 
-def random_tree(rng: random.Random, max_nodes: int = 40) -> TenantTree:
-    """A random valid tenant tree with between 1 and max_nodes nodes."""
+def random_nodes(rng: random.Random, max_nodes: int = 40) -> list[HierarchyNode]:
+    """The nodes of a random valid tenant tree with between 1 and max_nodes nodes."""
     nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT, None)]
     mg_depth = {"root": 0}
     by_kind: dict[NodeKind, list[str]] = {kind: [] for kind in NodeKind}
@@ -141,12 +142,17 @@ def random_tree(rng: random.Random, max_nodes: int = 40) -> TenantTree:
         by_kind[kind].append(node_id)
         if kind is NodeKind.MANAGEMENT_GROUP:
             mg_depth[node_id] = mg_depth[parent] + 1
-    return build_tree(nodes)
+    return nodes
+
+
+def random_tree(rng: random.Random, max_nodes: int = 40) -> TenantTree:
+    """A random valid tenant tree with between 1 and max_nodes nodes."""
+    return build_tree(random_nodes(rng, max_nodes))
 
 
 def random_grants(rng: random.Random, tree: TenantTree, n: int) -> list[Grant]:
     """n distinct grants with random scopes and access classes."""
-    scopes = sorted(tree.nodes)
+    scopes = sorted(tree.parent)
     return [
         Grant(
             action=f"a{i:03d}",
@@ -275,16 +281,25 @@ def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int,
     merge, bottom-up, the sizes in the order of `grants`; the oracle for
     EffectiveDistance.geometry. Every occupied root path is walked up to the
     tree root, every node builds its clean and dirty tuples, and a child
-    subtree is dirty when it is in the closure's dirty set."""
+    subtree is dirty when it is in the closure's dirty set. Nodes are taken
+    deepest first, by a depth counted here along the parent links, not by
+    the canonical level the fold orders them by."""
     tree = dist._tree
+
+    def depth(node: str) -> int:
+        steps = 0
+        while (node := tree.parent[node]) is not None:
+            steps += 1
+        return steps
+
     blocks: dict[str, list[tuple[int, bool]]] = {}
     by_depth: list[list[str]] = [[] for _ in range(MAX_LEVEL + 1)]
     for grant in dict.fromkeys(grants):
-        if grant.scope not in tree.nodes:
+        if grant.scope not in tree.parent:
             raise UnknownNode(f"node {grant.scope!r} not in tree")
         if grant.scope not in blocks:
             blocks[grant.scope] = []
-            by_depth[tree.depth[grant.scope]].append(grant.scope)
+            by_depth[depth(grant.scope)].append(grant.scope)
         blocks[grant.scope].append((1, grant.access is AccessClass.WRITE))
     merges: list[tuple[int, tuple[int, ...]]] = []
     for depth in range(len(by_depth) - 1, -1, -1):
@@ -298,7 +313,7 @@ def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int,
             joined = (sum(clean),) + dirty if clean else dirty
             if dirty and len(joined) > 1:
                 merges.append((WRITE_WEIGHT << shift, joined))
-            parent = tree.nodes[node].parent
+            parent = tree.parent[node]
             if parent is not None:
                 if parent not in blocks:
                     blocks[parent] = []
@@ -334,15 +349,15 @@ def band_of_linear(radius: Fraction, bands):
     raise UnbandableRadius(f"radius {radius} is not a canonical band value")
 
 
-def format_fixed_fraction(value, digits: int = 6) -> str:
-    """Oracle for render.format_fixed: reduce to a Fraction, then round half-to-even."""
+def format_fixed_fraction(value) -> str:
+    """Oracle for render.format_fixed: reduce to a Fraction, then round half-to-even to six decimals."""
     frac = Fraction(value)
     num, den = frac.numerator, frac.denominator
-    q, r = divmod(num * 10**digits, den)
+    q, r = divmod(num * 10**6, den)
     if 2 * r > den or (2 * r == den and q % 2 == 1):
         q += 1
-    whole, part = divmod(q, 10**digits)
-    return f"{whole}.{part:0{digits}d}"
+    whole, part = divmod(q, 10**6)
+    return f"{whole}.{part:06d}"
 
 
 def nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:
@@ -498,7 +513,7 @@ def parse_snapshot_oracle(data: str | bytes) -> TenantSnapshot:
         scope = _oracle_string_field(entry, "scope", f"assignment for {principal!r}")
         if principal not in seen_principals:
             raise UnknownReference(f"assignment principal {principal!r} is not declared")
-        if scope not in tree.nodes:
+        if scope not in tree.parent:
             raise UnknownReference(f"assignment scope {scope!r} is not in the hierarchy")
         assignments.append(Assignment(principal=principal, action=action, access=access, scope=scope))
 
@@ -517,9 +532,9 @@ def parse_snapshot_oracle(data: str | bytes) -> TenantSnapshot:
                 isinstance(parent, str) and parent != "",
                 f"alternate {name!r}: parent of {child!r} must be a node id",
             )
-            if child not in tree.nodes:
+            if child not in tree.parent:
                 raise UnknownReference(f"alternate {name!r} re-parents unknown node {child!r}")
-            if parent not in tree.nodes:
+            if parent not in tree.parent:
                 raise UnknownReference(f"alternate {name!r} names unknown parent {parent!r}")
         alternates.append(AlternateHierarchy(name=name, parents=tuple(sorted(parents.items()))))
 

@@ -6,7 +6,6 @@ an explicitly stated bound; there are no epsilons anywhere.
 """
 
 import functools
-import json
 import random
 import time
 from fractions import Fraction

@@ -170,7 +170,7 @@ def test_snapshot_builds_its_family_once(monkeypatch):
     assert snapshot.native_tree() is family.native
     assert snapshot.family() is family
     assert [name for name, _ in family.members()] == ["native", "flat", "same"]
-    assert family.alternates[0][1].nodes["rg-1"].parent == "sub-2"
+    assert family.alternates[0][1].parent["rg-1"] == "sub-2"
     assert len(builds) == 3
 
 

@@ -15,7 +15,7 @@ from perimetric.errors import (
 )
 from perimetric.hierarchy import HierarchyNode, NodeKind, build_tree, lca, lca_level, meet
 
-from helpers import random_tree
+from helpers import random_nodes, random_tree
 
 
 def _node(node_id, kind, parent=None):
@@ -24,7 +24,7 @@ def _node(node_id, kind, parent=None):
 
 def test_minimal_tree():
     tree = build_tree([_node("root", NodeKind.TENANT_ROOT)])
-    assert len(tree.nodes) == 1
+    assert tree.parent == {"root": None}
     assert tree.canonical_level["root"] == 0
 
 
@@ -122,7 +122,7 @@ def test_duplicate_node_id():
 
 def test_lca_reflexive():
     tree = random_tree(random.Random(1), max_nodes=20)
-    for node_id in tree.nodes:
+    for node_id in tree.parent:
         assert lca(tree, node_id, node_id) == node_id
 
 
@@ -186,11 +186,10 @@ def test_lca_with_ancestor_is_ancestor():
     rng = random.Random(5)
     for _ in range(20):
         tree = random_tree(rng, max_nodes=30)
-        for node_id, node in tree.nodes.items():
-            anc = node.parent
+        for node_id, anc in tree.parent.items():
             while anc is not None:
                 assert lca(tree, node_id, anc) == anc
-                anc = tree.nodes[anc].parent
+                anc = tree.parent[anc]
 
 
 def test_lca_commutes_and_level_triple_inequality():
@@ -198,26 +197,39 @@ def test_lca_commutes_and_level_triple_inequality():
     rng = random.Random(7)
     for _ in range(5):
         tree = random_tree(rng, max_nodes=15)
-        ids = sorted(tree.nodes)
+        ids = sorted(tree.parent)
         for a, b in product(ids, repeat=2):
             assert lca(tree, a, b) == lca(tree, b, a)
         for a, b, c in product(ids, repeat=3):
             assert lca_level(tree, a, c) >= min(lca_level(tree, a, b), lca_level(tree, b, c))
 
 
+def _ancestry(tree, node):
+    """node and its ancestors, bottom-up."""
+    path = [node]
+    while (node := tree.parent[node]) is not None:
+        path.append(node)
+    return path
+
+
 def test_meet_returns_the_lca_and_the_node_below_it_on_each_side():
     rng = random.Random(13)
-    for _ in range(5):
-        tree = random_tree(rng, max_nodes=15)
-        for a, b in product(sorted(tree.nodes), repeat=2):
+    # two subscriptions at level 7, at depths 1 and 7: one under the root, one under six nested MGs
+    chain = [_node("root", NodeKind.TENANT_ROOT)]
+    for i in range(6):
+        chain.append(_node(f"mg{i}", NodeKind.MANAGEMENT_GROUP, chain[-1].id))
+    chain += [_node("sub-deep", NodeKind.SUBSCRIPTION, "mg5"), _node("sub-top", NodeKind.SUBSCRIPTION, "root")]
+    for tree in [build_tree(chain)] + [random_tree(rng, max_nodes=15) for _ in range(5)]:
+        for a, b in product(sorted(tree.parent), repeat=2):
             top, ca, cb = meet(tree, a, b)
-            assert top == lca(tree, a, b)
+            up_a, up_b = _ancestry(tree, a), _ancestry(tree, b)
+            assert top == next(node for node in up_a if node in up_b)
             for side, below in ((a, ca), (b, cb)):
                 if side == top:
                     assert below is None
                 else:
-                    assert tree.nodes[below].parent == top
-                    assert lca(tree, side, below) == below
+                    assert tree.parent[below] == top
+                    assert below in _ancestry(tree, side)
             if ca is not None and cb is not None:
                 assert ca != cb
     with pytest.raises(UnknownNode):
@@ -234,10 +246,11 @@ def test_canonical_level_follows_kind():
         NodeKind.RESOURCE_PART: 10,
     }
     for _ in range(20):
-        tree = random_tree(rng, max_nodes=40)
-        for node in tree.nodes.values():
+        nodes = random_nodes(rng, max_nodes=40)
+        tree = build_tree(nodes)
+        for node in nodes:
             if node.kind is NodeKind.MANAGEMENT_GROUP:
                 assert 1 <= tree.canonical_level[node.id] <= 6
-                assert tree.canonical_level[node.id] == tree.depth[node.id]
+                assert tree.canonical_level[node.id] == len(_ancestry(tree, node.id)) - 1
             else:
                 assert tree.canonical_level[node.id] == fixed[node.kind]

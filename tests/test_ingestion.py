@@ -310,6 +310,4 @@ def test_generator_invalid_configs():
     with pytest.raises(InvalidConfig):
         GeneratorConfig(resource_groups_per_subscription=0, tight_spns=1)
     with pytest.raises(InvalidConfig):
-        GeneratorConfig(write_fraction=1.5)
-    with pytest.raises(InvalidConfig):
         GeneratorConfig(seed="nope")

@@ -22,7 +22,7 @@ from perimetric.metric import (
     raw_violates,
 )
 
-from helpers import chain_tree, grants_at, random_grants, random_tree
+from helpers import chain_nodes, chain_tree, grants_at, random_grants, random_tree
 
 READ = AccessClass.READ
 WRITE = AccessClass.WRITE
@@ -59,11 +59,8 @@ def test_tenant_wide_write_distance_is_one():
 
 
 def test_read_pair_on_same_resource_parts():
-    tree, scopes = chain_tree()
-    parts = build_tree(
-        [n for n in tree.nodes.values()]
-        + [HierarchyNode("part-b", NodeKind.RESOURCE_PART, scopes[9])]
-    )
+    scopes = chain_tree()[1]
+    parts = build_tree(chain_nodes() + [HierarchyNode("part-b", NodeKind.RESOURCE_PART, scopes[9])])
     a = Grant("ReadBlob", READ, scopes[10])
     b = Grant("ReadBlob", READ, "part-b")
     assert distance(a, b, parts) == Fraction(1, 2**19)
@@ -242,11 +239,8 @@ def test_effective_distances_are_ultrametric_fuzz():
 def test_raw_distance_breaks_ultrametricity_on_mixed_access():
     # a write grant riding next to a read grant defeats the raw pair formula;
     # the effective (closure) distance repairs exactly this
-    tree, scopes = chain_tree()
-    extra = build_tree(
-        list(tree.nodes.values())
-        + [HierarchyNode("sub-b", NodeKind.SUBSCRIPTION, scopes[6])]
-    )
+    scopes = chain_tree()[1]
+    extra = build_tree(chain_nodes() + [HierarchyNode("sub-b", NodeKind.SUBSCRIPTION, scopes[6])])
     x = Grant("x", READ, scopes[9])
     y = Grant("y", WRITE, scopes[9])
     z = Grant("z", READ, "sub-b")
@@ -266,7 +260,7 @@ def test_effective_distance_matches_raw_on_uniform_access():
         tree = random_tree(rng)
         grants = [
             Grant(f"a{i:02d}", READ, scope)
-            for i, scope in enumerate(rng.choices(sorted(tree.nodes), k=8))
+            for i, scope in enumerate(rng.choices(sorted(tree.parent), k=8))
         ]
         raw = DistanceModel(tree)
         closed = effective_distance(grants, tree)

@@ -1,4 +1,4 @@
-"""Plain records are tuples of their fields, four classes stay dataclasses, AccessClass hashes by identity."""
+"""Plain records are tuples of their fields, two classes stay dataclasses, AccessClass hashes by identity."""
 
 import json
 import os
@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import perimetric
+from perimetric.hierarchy import HierarchyNode, NodeKind
 from perimetric.ingestion import AlternateHierarchy, Assignment, Group
 from perimetric.metric import AccessClass, DistanceModel, Grant
 from perimetric.perimeter import PrincipalRisk, Tour
@@ -28,6 +29,7 @@ bands = st.builds(Band, fractions, st.integers(0, 10), accesses)
 RECORDS = [
     (Grant, ("action", "access", "scope"), st.tuples(texts, accesses, texts)),
     (Assignment, ("principal", "action", "access", "scope"), st.tuples(texts, texts, accesses, texts)),
+    (HierarchyNode, ("id", "kind", "parent"), st.tuples(texts, st.sampled_from(NodeKind), st.none() | texts)),
     (
         PrincipalRisk,
         ("spn", "n", "radius", "length", "pair_sum"),
@@ -76,12 +78,18 @@ def test_reprs_read_as_before():
         "PrincipalRisk(spn='svc', n=1, radius=0, length=0, pair_sum=0)"
     )
     assert repr(DistanceModel("tree")) == "DistanceModel(hierarchy='tree')"
+    assert repr(HierarchyNode("sub", NodeKind.SUBSCRIPTION, "root")) == (
+        "HierarchyNode(id='sub', kind=<NodeKind.SUBSCRIPTION: 'subscription'>, parent='root')"
+    )
+    assert repr(HierarchyNode("root", NodeKind.TENANT_ROOT)) == (
+        "HierarchyNode(id='root', kind=<NodeKind.TENANT_ROOT: 'tenant_root'>, parent=None)"
+    )
     assert repr(Band(Fraction(1, 2), 0, READ)) == (
         "Band(value=Fraction(1, 2), level=0, access=<AccessClass.READ: 'read'>)"
     )
 
 
-def test_only_four_classes_stay_dataclasses():
+def test_only_two_classes_stay_dataclasses():
     probe = (
         "import dataclasses, inspect, json, sys; import perimetric.cli; "
         "print(json.dumps(sorted(name for module in list(sys.modules) if module.startswith('perimetric') "
@@ -91,9 +99,7 @@ def test_only_four_classes_stay_dataclasses():
     src = str(Path(perimetric.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, check=True, timeout=60)
-    assert json.loads(result.stdout) == sorted(
-        ["HierarchyNode", "TenantTree", "HierarchyFamily", "TenantSnapshot"]
-    )
+    assert json.loads(result.stdout) == sorted(["HierarchyFamily", "TenantSnapshot"])
 
 
 def test_access_class_hash_agrees_with_equality():

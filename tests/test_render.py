@@ -23,11 +23,6 @@ def test_format_fixed_tiny_values_round_to_zero():
     assert format_fixed(Fraction(1, 2**21)) == "0.000000"
 
 
-def test_format_fixed_digits_parameter():
-    assert format_fixed(Fraction(1, 8), digits=3) == "0.125"
-    assert format_fixed(Fraction(7, 2), digits=1) == "3.5"
-
-
 def test_fraction_str():
     assert fraction_str(Fraction(0)) == "0"
     assert fraction_str(Fraction(9, 65536)) == "9/65536"

@@ -1,4 +1,4 @@
-"""Every name a module under src/perimetric imports is used in that module.
+"""Every name a module under src/perimetric or tests imports is used in that module.
 
 A name left behind by a deletion (an `lcm`, an `Iterable`) still costs its
 import on every run, and its module's compile too wherever no bytecode
@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "perimetric"
-MODULES = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "perimetric"
+MODULES = sorted(path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py") + sorted(TESTS.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
