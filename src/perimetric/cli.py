@@ -248,12 +248,6 @@ def generate(args: argparse.Namespace) -> None:
     """Emit a deterministic synthetic tenant snapshot on standard output."""
     from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 
-    explicit = {"tight": args.tight, "dispersed": args.dispersed, "mixed": args.mixed}
-    if args.spns is not None and any(v is not None for v in explicit.values()):
-        _fail("--spns cannot be combined with --tight/--dispersed/--mixed", 2)
-    counts = {key: value or 0 for key, value in explicit.items()}
-    if args.spns is not None:
-        counts[args.archetype] = args.spns
     try:
         config = GeneratorConfig(
             seed=args.seed,
@@ -262,9 +256,9 @@ def generate(args: argparse.Namespace) -> None:
             resource_groups_per_subscription=args.resource_groups,
             resources_per_resource_group=args.resources,
             parts_per_resource=args.parts,
-            tight_spns=counts["tight"],
-            dispersed_spns=counts["dispersed"],
-            mixed_spns=counts["mixed"],
+            tight_spns=args.tight,
+            dispersed_spns=args.dispersed,
+            mixed_spns=args.mixed,
         )
         snapshot = generate_synthetic_tenant(config)
     except errors.PerimetricError as exc:
@@ -360,10 +354,9 @@ def _parser() -> _Parser:
     sub["explain"].add_argument("spn", metavar="SPN")
     option = sub["generate"].add_argument
     option("--seed", type=int, default=0, metavar="N", help="Generator seed." + default)
-    option("--spns", type=int, metavar="N", help="SPN count for --archetype.")
-    option("--archetype", choices=("tight", "dispersed", "mixed"), default="mixed", help="For --spns." + default)
     for archetype in ("tight", "dispersed", "mixed"):
-        option(f"--{archetype}", type=int, metavar="N", help=f"Explicit {archetype} SPN count.")
+        option(f"--{archetype}", type=int, default=0, metavar="N",
+               help=f"{archetype.capitalize()} SPN count." + default)
     option("--management-groups", type=int, default=3, metavar="N", help="Count." + default)
     option("--subscriptions", type=int, default=4, metavar="N", help="Subscription count." + default)
     option("--resource-groups", type=int, default=2, metavar="N", help="Per subscription." + default)

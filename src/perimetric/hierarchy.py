@@ -9,6 +9,10 @@ resources 9 and resource parts 10, so levels rise strictly down every root
 path. A HierarchyNode is a tuple of (id, kind, parent); a TenantTree is two
 maps, node -> parent (None at the root) and node -> canonical level, immutable
 after build.
+
+build_tree walks each node up to the root once, rejecting a cycle and
+setting levels on the way back down; the nesting limit is checked after,
+in input order, so a cycle is reported before a chain that is too deep.
 """
 
 from __future__ import annotations
@@ -112,34 +116,25 @@ def build_tree(nodes: Sequence[HierarchyNode] | Iterable[HierarchyNode]) -> Tena
                 f"{node.kind.value} {node.id!r} cannot attach to {parent.kind.value} {parent.id!r}"
             )
 
-    depth: dict[str, int] = {root.id: 0}
+    levels: dict[str, int] = {root.id: 0}
     for node in by_id.values():
-        if node.id in depth:
-            continue
-        walk: list[str] = []
-        on_path: set[str] = set()
+        walk: dict[str, HierarchyNode] = {}  # the nodes on the path from `node` up, in order
         cur = node.id
-        while cur not in depth:
-            if cur in on_path:
+        while cur not in levels:
+            if cur in walk:
                 raise CycleDetected(f"parent chain through {cur!r} never reaches the root")
-            on_path.add(cur)
-            walk.append(cur)
-            cur = by_id[cur].parent  # type: ignore[assignment]
-        base = depth[cur]
-        for offset, nid in enumerate(reversed(walk), start=1):
-            depth[nid] = base + offset
+            walk[cur] = by_id[cur]
+            cur = walk[cur].parent  # type: ignore[assignment]
+        for below in reversed(walk.values()):
+            # MG ancestors are all MGs, so an MG's level is its nesting depth
+            kind = below.kind
+            levels[below.id] = levels[below.parent] + 1 if kind is NodeKind.MANAGEMENT_GROUP else _KIND_LEVELS[kind]
 
-    levels: dict[str, int] = {}
     for node in by_id.values():
-        if node.kind is NodeKind.MANAGEMENT_GROUP:
-            # MG ancestors are all MGs, so nesting depth equals tree depth.
-            if depth[node.id] > MAX_MG_DEPTH:
-                raise MgDepthExceeded(
-                    f"management group {node.id!r} nested {depth[node.id]} deep (limit {MAX_MG_DEPTH})"
-                )
-            levels[node.id] = depth[node.id]
-        else:
-            levels[node.id] = _KIND_LEVELS[node.kind]
+        if node.kind is NodeKind.MANAGEMENT_GROUP and levels[node.id] > MAX_MG_DEPTH:
+            raise MgDepthExceeded(
+                f"management group {node.id!r} nested {levels[node.id]} deep (limit {MAX_MG_DEPTH})"
+            )
 
     return TenantTree({nid: node.parent for nid, node in by_id.items()}, levels)
 

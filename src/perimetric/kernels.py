@@ -10,7 +10,8 @@ kernel sees holds plain integers in units of 2**-21 (SCALE), the grid
 every distance of a tenant lies on: try_scale turns int and Fraction
 distances into those integers and rejects any value off the grid.
 Callers turn a result back into a Fraction over SCALE, so every result
-is exact.
+is exact. The nearest-neighbor tour takes each step with min() over the
+unvisited indices in ascending order, so a tie goes to the lowest index.
 """
 
 from __future__ import annotations
@@ -67,25 +68,16 @@ def nn_tour_flat(flat: Sequence[int], n: int, start: int) -> tuple[tuple[int, ..
         raise ValueError("empty matrix")
     if not 0 <= start < n:
         raise ValueError("start out of range")
-    seen = [False] * n
-    seen[start] = True
+    unvisited = [j for j in range(n) if j != start]  # ascending: min() returns the first minimum
     order = [start]
     total = 0
     cur = start
-    for _ in range(n - 1):
-        row = cur * n
-        best = -1
-        best_d = 0
-        for j in range(n):
-            if not seen[j]:
-                d = flat[row + j]
-                if best < 0 or d < best_d:
-                    best = j
-                    best_d = d
-        seen[best] = True
-        order.append(best)
-        total += best_d
-        cur = best
+    while unvisited:
+        row = flat[cur * n : cur * n + n]
+        cur = min(unvisited, key=row.__getitem__)
+        unvisited.remove(cur)
+        order.append(cur)
+        total += row[cur]
     total += flat[cur * n + start]
     order.append(start)
     return tuple(order), total

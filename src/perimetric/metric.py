@@ -10,6 +10,10 @@ raw_violates rely on. Identical grants are at distance 0. All values are
 exact dyadic rationals and every comparison is exact; there are no
 tolerances anywhere.
 
+Inside, the metric reads every distance from one table built at import,
+HEIGHTS, in integer units of 2**-21. Only DistanceModel's per-pair call works
+the formula out again, as the independent reference the table is tested against.
+
 The raw pair formula is what blast radii, band values and hierarchy
 infima are defined on. For tour geometry over one grant set, use
 EffectiveDistance: the raw formula's ultrametric closure, which repairs
@@ -65,6 +69,13 @@ def grant_sort_key(grant: Grant) -> tuple[str, str, str]:
 
 READ_WEIGHT = 1
 WRITE_WEIGHT = 2
+
+# HEIGHTS[write][level]: the raw distance, in integer units of 2**-21, of a pair
+# whose LCA has that level, for two reads (write 0) and for a pair holding a write (1)
+HEIGHTS = tuple(
+    tuple(weight << (kernels.SCALE_BITS - 2 * level - 1) for level in range(MAX_LEVEL + 1))
+    for weight in (READ_WEIGHT, WRITE_WEIGHT)
+)
 
 
 def pair_impact(a: Grant, b: Grant) -> int:
@@ -133,8 +144,8 @@ class DistanceModel(NamedTuple):
         """Flat row-major matrix of this distance over `points`, in integer units of 2**-21.
 
         A bare tree counts as a family of one. The level of each pair of distinct
-        scopes is found once (see _scope_levels), and a cell is the pair impact
-        shifted by that level, read from a table of at most 2 x 11 ints. Equal
+        scopes is found once (see _scope_levels), and a cell is read from HEIGHTS
+        at that level, so the n * n cells share its 22 ints. Equal
         points are at 0. With two or more distinct points, the first unknown
         scope in `points` order raises UnknownNode, as a per-pair call would.
         """
@@ -146,9 +157,6 @@ class DistanceModel(NamedTuple):
         m = len(scopes)
         column = {scope: index for index, scope in enumerate(scopes)}
         keys = [column[g.scope] + m * (g.access is AccessClass.WRITE) for g in points]
-        # table[max(access of i, access of j)][level]; the n * n cells share these ints
-        weights = (READ_WEIGHT, WRITE_WEIGHT)
-        table = [[w << (kernels.SCALE_BITS - 2 * level - 1) for level in range(MAX_LEVEL + 1)] for w in weights]
         levels = _scope_levels(scopes, _members(self.hierarchy))
         pick = itemgetter(*keys)
         with_key: dict[int, list[int]] = {}
@@ -157,7 +165,7 @@ class DistanceModel(NamedTuple):
         for key, indices in with_key.items():
             write, scope = divmod(key, m)
             # the cell against a read on each scope, then against a write
-            by_key = [*map(table[write].__getitem__, levels[scope]), *map(table[1].__getitem__, levels[scope])]
+            by_key = [*map(HEIGHTS[write].__getitem__, levels[scope]), *map(HEIGHTS[1].__getitem__, levels[scope])]
             row = pick(by_key)
             for i in indices:
                 flat[i * n : i * n + n] = row
@@ -292,15 +300,14 @@ class EffectiveDistance:
         top, ca, cb = meet(self._tree, a.scope, b.scope)
         side_a = ca in dirty if ca is not None else a.access is AccessClass.WRITE
         side_b = cb in dirty if cb is not None else b.access is AccessClass.WRITE
-        weight = WRITE_WEIGHT if (side_a or side_b) else READ_WEIGHT
-        return Fraction(weight, 1 << (2 * self._tree.canonical_level[top] + 1))
+        return Fraction(HEIGHTS[side_a or side_b][self._tree.canonical_level[top]], kernels.SCALE)
 
     def geometry(self, grants: Iterable[Grant]) -> tuple[int, int, int, int]:
         """(n, radius, length, pair_sum) of the closure's dendrogram over the distinct `grants`.
 
         Heights are integers in units of 2**-21. At a node of level L, its grants and
         occupied child subtrees are blocks: the clean ones merge at read height
-        r/2**(2L+1), then, if one is dirty, all at write height w/2**(2L+1). A merge of
+        HEIGHTS[0][L], then, if one is dirty, all at write height HEIGHTS[1][L]. A merge of
         blocks of sizes s adds its height times len(s) - 1 to the tour length and times
         (sum(s)**2 - sum(s*s)) / 2 to the pair sum. The fold stops at the grants' lowest
         common ancestor, whose top merge the tour crosses once more. `grants` must be
@@ -328,6 +335,7 @@ class EffectiveDistance:
             here[k] += 1
             here[k + 1] += 1
             here[k + 2] += 1
+        reads, writes = HEIGHTS
         height = length = pair_sum = 0
         for level in range(MAX_LEVEL, -1, -1):
             for node in by_level[level]:
@@ -335,13 +343,12 @@ class EffectiveDistance:
                 clean, clean_sum, clean_squares, dirty, dirty_sum, dirty_squares = here
                 size = clean_sum + dirty_sum
                 if clean + dirty > 1:  # a lone block passes up as it is
-                    shift = kernels.SCALE_BITS - (2 * level + 1)
-                    height = READ_WEIGHT << shift
+                    height = reads[level]
                     if clean:  # the clean blocks merge at read height
                         length += height * (clean - 1)
                         pair_sum += height * ((clean_sum * clean_sum - clean_squares) >> 1)
                     if dirty:  # then, joined into one, they meet the dirty ones at write height
-                        height = WRITE_WEIGHT << shift
+                        height = writes[level]
                         length += height * (dirty if clean else dirty - 1)
                         pair_sum += height * ((size * size - clean_sum * clean_sum - dirty_squares) >> 1)
                 if not blocks:  # this node holds every grant

@@ -3,11 +3,11 @@
 The distance formula, with its fixed read and write weights 1 and 2,
 admits exactly 22 values, one per (level, access) pair, so principals
 sharing a blast radius fall into the same band. The bands are one fixed
-census, looked up by the radius in units of 2**-21. Ranking sorts by
-radius first and breaks ties with the perimeter: a larger tour means
-more elongated permission geometry and ranks riskier. Band reports can
-be anonymized by shuffling rows under a seed and relabeling them with
-roman numerals.
+census built from the distance table, metric.HEIGHTS, and looked up by
+the radius in units of 2**-21. Ranking sorts by radius first and breaks
+ties with the perimeter: a larger tour means more elongated permission
+geometry and ranks riskier. Band reports can be anonymized by shuffling
+rows under a seed and relabeling them with roman numerals.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from perimetric.errors import UnbandableRadius
 from perimetric.kernels import SCALE
-from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass
+from perimetric.metric import HEIGHTS, AccessClass
 from perimetric.perimeter import PrincipalRisk
 from perimetric.render import format_fixed, fraction_str, roman
 
@@ -66,14 +66,14 @@ def regime_for(band_value: Fraction) -> Regime:
     return Regime.TIGHT if band_value < TIGHT_RADIUS_BOUND else Regime.DISPERSED
 
 
-# Write, then read, at each level from the root down: a write one level
-# deeper is below a read, since WRITE_WEIGHT < 4 * READ_WEIGHT.
-_BANDS = tuple(
-    Band(value=Fraction(weight, 1 << (2 * level + 1)), level=level, access=access)
-    for level in range(11)
-    for access, weight in ((AccessClass.WRITE, WRITE_WEIGHT), (AccessClass.READ, READ_WEIGHT))
-)
-_BAND_BY_UNITS = {int(band.value * SCALE): band for band in _BANDS}
+# Each band by its value in units of 2**-21: write, then read, at each level from
+# the root down, since a write one level deeper is below a read (write < 4 * read).
+_BAND_BY_UNITS = {
+    units: Band(value=Fraction(units, SCALE), level=level, access=access)
+    for level, (read, write) in enumerate(zip(*HEIGHTS))
+    for access, units in ((AccessClass.WRITE, write), (AccessClass.READ, read))
+}
+_BANDS = tuple(_BAND_BY_UNITS.values())
 
 
 def enumerate_bands() -> tuple[Band, ...]:

@@ -444,30 +444,45 @@ def test_reports_show_unprintable_ids_escaped(command, code):
 
 
 def test_generate_deterministic_bytes():
-    first = invoke(["generate", "--seed", "0", "--spns", "10"])
-    second = invoke(["generate", "--seed", "0", "--spns", "10"])
+    first = invoke(["generate", "--seed", "0", "--mixed", "10"])
+    second = invoke(["generate", "--seed", "0", "--mixed", "10"])
     assert first.exit_code == 0
     assert first.output == second.output
 
 
 def test_generate_pipes_into_scan():
-    generated = invoke(["generate", "--seed", "4", "--spns", "6"])
+    generated = invoke(["generate", "--seed", "4", "--mixed", "6"])
     result = invoke(["scan", "-"], input=generated.output)
     assert result.exit_code == 0
     assert len(result.output.splitlines()) == 7  # header + one row per SPN
 
 
 def test_generate_tight_archetype_rows_are_ultracycles():
-    generated = invoke(["generate", "--seed", "1", "--archetype", "tight", "--spns", "5"])
+    generated = invoke(["generate", "--seed", "1", "--tight", "5"])
     result = invoke(["scan", "-"], input=generated.output)
     rows = result.output.splitlines()[1:]
     assert len(rows) == 5
     assert all(row.endswith(",1.000000,true") for row in rows)
 
 
-def test_generate_rejects_conflicting_flags():
-    result = invoke(["generate", "--spns", "5", "--tight", "2"])
-    assert result.exit_code == 2
+def test_generate_passes_every_option_to_the_generator():
+    # each option gets its own value, none of them a default, so one wired to the wrong field shows
+    fields = {
+        "seed": 11,
+        "management_groups": 2,
+        "subscriptions": 5,
+        "resource_groups_per_subscription": 3,
+        "resources_per_resource_group": 4,
+        "parts_per_resource": 6,
+        "tight_spns": 7,
+        "dispersed_spns": 8,
+        "mixed_spns": 9,
+    }
+    flags = ("--seed", "--management-groups", "--subscriptions", "--resource-groups", "--resources", "--parts",
+             "--tight", "--dispersed", "--mixed")
+    result = invoke(["generate", *(arg for flag, value in zip(flags, fields.values()) for arg in (flag, str(value)))])
+    assert result.exit_code == 0
+    assert result.output == serialize_snapshot(generate_synthetic_tenant(GeneratorConfig(**fields)))
 
 
 def test_generate_rejects_invalid_config():
@@ -523,9 +538,14 @@ def test_explain_dispersed_shows_cluster_then_jump():
     assert "spread ratio: 0.555601 (13655/24577)" in result.output
 
 
-@pytest.mark.parametrize("command", ["scan --format csv", "scan --format json", "bands --format json"])
+@pytest.mark.parametrize(
+    "command",
+    ["scan --format csv", "scan --format json", "bands --format json",
+     "explain spn-one", "explain spn-rw", "explain spn-ultra", "explain spn-zero"],
+)
 def test_stdout_does_not_depend_on_the_hash_seed(command, monkeypatch):
-    # the closed form reads each grant set in set order, which the hash seed decides
+    # the closed form reads each grant set in set order, which the hash seed decides;
+    # explain also runs the tour kernel and the closure's per-pair distances
     golden = json.loads((FIXTURES / "golden_stdout.json").read_text(encoding="utf-8"))[command]
     verb, *rest = command.split()
     for seed in ("0", "1", "2"):

@@ -42,23 +42,24 @@ def test_full_chain_levels():
     assert [tree.canonical_level[n.id] for n in nodes] == [0, 1, 2, 7, 8, 9, 10]
 
 
-def test_mg_chain_of_seven_rejected():
+def _mg_chain(depth):
+    """A tenant root with a chain of `depth` management groups, mg0 at the top."""
     nodes = [_node("root", NodeKind.TENANT_ROOT)]
     parent = "root"
-    for i in range(7):
+    for i in range(depth):
         nodes.append(_node(f"mg{i}", NodeKind.MANAGEMENT_GROUP, parent))
         parent = f"mg{i}"
-    with pytest.raises(MgDepthExceeded):
-        build_tree(nodes)
+    return nodes
+
+
+def test_mg_chain_of_seven_rejected():
+    with pytest.raises(MgDepthExceeded) as caught:
+        build_tree(_mg_chain(7))
+    assert str(caught.value) == "management group 'mg6' nested 7 deep (limit 6)"
 
 
 def test_mg_chain_of_six_allowed():
-    nodes = [_node("root", NodeKind.TENANT_ROOT)]
-    parent = "root"
-    for i in range(6):
-        nodes.append(_node(f"mg{i}", NodeKind.MANAGEMENT_GROUP, parent))
-        parent = f"mg{i}"
-    tree = build_tree(nodes)
+    tree = build_tree(_mg_chain(6))
     assert tree.canonical_level["mg5"] == 6
 
 
@@ -103,9 +104,10 @@ def test_illegal_parent_kind():
 
 
 def test_cycle_detected():
+    # a chain too deep, listed first, still loses to the cycle after it
     with pytest.raises(CycleDetected):
         build_tree([
-            _node("root", NodeKind.TENANT_ROOT),
+            *_mg_chain(7),
             _node("a", NodeKind.MANAGEMENT_GROUP, "b"),
             _node("b", NodeKind.MANAGEMENT_GROUP, "a"),
         ])

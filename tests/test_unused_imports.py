@@ -1,9 +1,12 @@
-"""Every name a module under src/perimetric or tests imports is used in that module.
+"""Every name a module under src/perimetric or tests imports, or defines as private, is used there.
 
 A name left behind by a deletion (an `lcm`, an `Iterable`) still costs its
 import on every run, and its module's compile too wherever no bytecode
 cache is written. `__init__.py` imports names only to export them, and
 `from __future__` imports are compiler switches, so both are skipped.
+A module-level private name (`_x`: a function, a class or an assignment)
+is there for its own module only, so one that module never reads is a
+helper a change left behind.
 """
 
 import ast
@@ -30,9 +33,28 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Module-level `_x` functions, classes and assigned names that `source` never reads."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in defined - read if name.startswith("_") and not name.startswith("__"))
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_every_private_name_is_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_finds_a_name_left_behind():
@@ -46,3 +68,20 @@ def test_the_check_finds_a_name_left_behind():
         "    return gcd(x, 2) + len(os.sep)\n"
     )
     assert unused_imports(source) == ["It", "json", "lcm"]
+
+
+def test_the_check_finds_a_private_helper_left_behind():
+    source = (
+        "__all__ = ['f']\n"
+        "_KEPT = 1\n"
+        "_LEFT, (_PAIR, kept) = 2, (3, 4)\n"
+        "_typed: int = 5\n"
+        "def _helper():\n"
+        "    _local = 6\n"
+        "    return _KEPT\n"
+        "class _Unused:\n"
+        "    pass\n"
+        "def f():\n"
+        "    return _helper()\n"
+    )
+    assert unread_private_names(source) == ["_LEFT", "_PAIR", "_Unused", "_typed"]
