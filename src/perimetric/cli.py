@@ -246,20 +246,12 @@ def check_family(args: argparse.Namespace) -> int:
 
 def generate(args: argparse.Namespace) -> None:
     """Emit a deterministic synthetic tenant snapshot on standard output."""
+    from dataclasses import fields
+
     from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 
-    try:
-        config = GeneratorConfig(
-            seed=args.seed,
-            management_groups=args.management_groups,
-            subscriptions=args.subscriptions,
-            resource_groups_per_subscription=args.resource_groups,
-            resources_per_resource_group=args.resources,
-            parts_per_resource=args.parts,
-            tight_spns=args.tight,
-            dispersed_spns=args.dispersed,
-            mixed_spns=args.mixed,
-        )
+    try:  # each option's dest is the field it sets
+        config = GeneratorConfig(**{field.name: getattr(args, field.name) for field in fields(GeneratorConfig)})
         snapshot = generate_synthetic_tenant(config)
     except errors.PerimetricError as exc:
         _fail(str(exc), 2)
@@ -355,13 +347,15 @@ def _parser() -> _Parser:
     option = sub["generate"].add_argument
     option("--seed", type=int, default=0, metavar="N", help="Generator seed." + default)
     for archetype in ("tight", "dispersed", "mixed"):
-        option(f"--{archetype}", type=int, default=0, metavar="N",
+        option(f"--{archetype}", type=int, default=0, metavar="N", dest=f"{archetype}_spns",
                help=f"{archetype.capitalize()} SPN count." + default)
     option("--management-groups", type=int, default=3, metavar="N", help="Count." + default)
     option("--subscriptions", type=int, default=4, metavar="N", help="Subscription count." + default)
-    option("--resource-groups", type=int, default=2, metavar="N", help="Per subscription." + default)
-    option("--resources", type=int, default=3, metavar="N", help="Per resource group." + default)
-    option("--parts", type=int, default=1, metavar="N", help="Per resource." + default)
+    option("--resource-groups", type=int, default=2, metavar="N", dest="resource_groups_per_subscription",
+           help="Per subscription." + default)
+    option("--resources", type=int, default=3, metavar="N", dest="resources_per_resource_group",
+           help="Per resource group." + default)
+    option("--parts", type=int, default=1, metavar="N", dest="parts_per_resource", help="Per resource." + default)
     return parser
 
 

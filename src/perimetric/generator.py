@@ -7,16 +7,18 @@ Same seed, same snapshot, byte for byte. Three principal archetypes:
     dispersed  two or more clusters of grants in different
                subscriptions: small inside clusters, large across
     mixed      grants sprinkled anywhere in the hierarchy
+
+Each grant draws its action from ACTIONS, the pool of its access class.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from perimetric.errors import InvalidConfig
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind
-from perimetric.ingestion import Assignment, TenantSnapshot
+from perimetric.ingestion import SCHEMA_VERSION, Assignment, TenantSnapshot
 from perimetric.metric import AccessClass
 
 READ_ACTIONS = (
@@ -27,11 +29,17 @@ WRITE_ACTIONS = (
     "DeleteBlob", "SendQueueMessage", "WriteBlob", "WriteConfiguration",
     "WriteFileShare", "WriteSecret", "WriteTableEntity", "WriteTopicMessage",
 )
+ACTIONS = {AccessClass.READ: READ_ACTIONS, AccessClass.WRITE: WRITE_ACTIONS}
 WRITE_FRACTION = 0.4  # chance that a drawn grant is a write
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
+    """Generator seed and counts; every field but the seed is a non-negative count.
+
+    The `generate` command has one option per field, whose dest is the field's name.
+    """
+
     seed: int = 0
     management_groups: int = 3
     subscriptions: int = 4
@@ -45,17 +53,8 @@ class GeneratorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or not -(2**63) <= self.seed < 2**64:
             raise InvalidConfig("seed must be a 64-bit integer")
-        counts = {
-            "management_groups": self.management_groups,
-            "subscriptions": self.subscriptions,
-            "resource_groups_per_subscription": self.resource_groups_per_subscription,
-            "resources_per_resource_group": self.resources_per_resource_group,
-            "parts_per_resource": self.parts_per_resource,
-            "tight_spns": self.tight_spns,
-            "dispersed_spns": self.dispersed_spns,
-            "mixed_spns": self.mixed_spns,
-        }
-        for name, value in counts.items():
+        for name in (field.name for field in fields(self) if field.name != "seed"):
+            value = getattr(self, name)
             if not isinstance(value, int) or value < 0:
                 raise InvalidConfig(f"{name} must be a non-negative integer, got {value!r}")
         if self.subscriptions < 1:
@@ -113,10 +112,6 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
     def pick_access() -> AccessClass:
         return AccessClass.WRITE if rng.random() < WRITE_FRACTION else AccessClass.READ
 
-    def actions_for(access: AccessClass, count: int) -> list[str]:
-        pool = WRITE_ACTIONS if access is AccessClass.WRITE else READ_ACTIONS
-        return rng.sample(pool, count)
-
     for i in range(config.tight_spns):
         spn = f"spn-tight-{i:04d}"
         spns.append(spn)
@@ -124,7 +119,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         scope_pool = resources_by_sub[sub] + parts_by_sub[sub]
         scope = rng.choice(scope_pool)
         access = pick_access()
-        for action in actions_for(access, rng.randint(2, 6)):
+        for action in rng.sample(ACTIONS[access], rng.randint(2, 6)):
             assignments.append(Assignment(spn, action, access, scope))
 
     for i in range(config.dispersed_spns):
@@ -134,7 +129,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         for sub in rng.sample(sub_ids, cluster_count):
             scope = rng.choice(resources_by_sub[sub])
             access = pick_access()
-            for action in actions_for(access, rng.randint(2, 3)):
+            for action in rng.sample(ACTIONS[access], rng.randint(2, 3)):
                 assignments.append(Assignment(spn, action, access, scope))
 
     for i in range(config.mixed_spns):
@@ -142,13 +137,12 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         spns.append(spn)
         for _ in range(rng.randint(1, 5)):
             access = pick_access()
-            pool = WRITE_ACTIONS if access is AccessClass.WRITE else READ_ACTIONS
             assignments.append(
-                Assignment(spn, rng.choice(pool), access, rng.choice(all_node_ids))
+                Assignment(spn, rng.choice(ACTIONS[access]), access, rng.choice(all_node_ids))
             )
 
     return TenantSnapshot(
-        version=1,
+        version=SCHEMA_VERSION,
         hierarchy=tuple(sorted(nodes, key=lambda n: n.id)),
         alternates=(),
         groups=(),

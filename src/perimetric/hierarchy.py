@@ -6,8 +6,9 @@ groups, resources and resource parts. Every node gets a canonical level
 used by the distance formula: the tenant root is 0, a management group
 takes its nesting depth (1..6), subscriptions are 7, resource groups 8,
 resources 9 and resource parts 10, so levels rise strictly down every root
-path. A HierarchyNode is a tuple of (id, kind, parent); a TenantTree is two
-maps, node -> parent (None at the root) and node -> canonical level, immutable
+path and MAX_LEVEL, the deepest, is the largest fixed level. A
+HierarchyNode is a tuple of (id, kind, parent); a TenantTree is two maps,
+node -> parent (None at the root) and node -> canonical level, immutable
 after build.
 
 build_tree walks each node up to the root once, rejecting a cycle and
@@ -32,7 +33,6 @@ from perimetric.errors import (
 )
 
 MAX_MG_DEPTH = 6
-MAX_LEVEL = 10
 
 
 class NodeKind(Enum):
@@ -66,6 +66,7 @@ _KIND_LEVELS = {
     NodeKind.RESOURCE: 9,
     NodeKind.RESOURCE_PART: 10,
 }
+MAX_LEVEL = max(_KIND_LEVELS.values())
 
 
 class HierarchyNode(NamedTuple):

@@ -1,14 +1,13 @@
 """Exact-value rendering helpers for reports.
 
 Values arrive as a numerator and a denominator (a Fraction also works):
-fixed decimals are read off the unreduced quotient, and only the exact
-'p/q' form reduces by the gcd.
+fixed decimals are read off the unreduced quotient, and the exact 'p/q'
+form is Fraction's own reduced one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 DIGITS = 6  # decimals in every fixed-point figure a report prints
 
@@ -39,11 +38,7 @@ def fraction_str(num: Fraction | int, den: int = 1) -> str:
 
     A Fraction num is divided by den.
     """
-    if isinstance(num, Fraction):
-        num, den = num.numerator, num.denominator * den
-    common = gcd(num, den)
-    num, den = num // common, den // common
-    return str(num) if den == 1 else f"{num}/{den}"
+    return str(Fraction(num, den))
 
 
 def roman(n: int) -> str:

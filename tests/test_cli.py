@@ -1,7 +1,10 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 
 import perimetric
 from perimetric import errors
+from perimetric.cli import _parser
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants, serialize_snapshot
 from perimetric.metric import effective_distance
@@ -18,6 +22,7 @@ from perimetric.ranking import rank_spns
 from helpers import invoke
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = FIXTURES.parent.parent
 COUNTEREXAMPLE = FIXTURES / "counterexample_family.json"
 
 
@@ -488,6 +493,40 @@ def test_generate_passes_every_option_to_the_generator():
 def test_generate_rejects_invalid_config():
     result = invoke(["generate", "--subscriptions", "1", "--dispersed", "2"])
     assert result.exit_code == 2
+    result = invoke(["generate", "--subscriptions", "0"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: at least one subscription is required\n"
+
+
+def test_each_generator_field_is_the_dest_of_one_generate_option():
+    # generate builds its GeneratorConfig from these dests, so a field with no option would crash it
+    commands = next(action for action in _parser()._actions if isinstance(action, argparse._SubParsersAction))
+    dests = [
+        action.dest
+        for action in commands.choices["generate"]._actions
+        if action.option_strings and not isinstance(action, argparse._HelpAction)
+    ]
+    assert sorted(dests) == sorted(field.name for field in fields(GeneratorConfig))
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        ("--tight 4", "c97ee58700d89cd198c433c746fb005202f6452f05fbf9c8a322614654ece64d"),
+        ("--dispersed 4", "d19e4a5382173ca13c1e768b685c116e3e77030d99377cd8bad3eff7928a7332"),
+        ("--mixed 4", "1cb7272ee1e87b4a21b85331076f76381bfb1542fa75cb5da5f18fb0da94e4f4"),
+        (
+            "--management-groups 2 --subscriptions 5 --resource-groups 3 --resources 4 --parts 6"
+            " --tight 7 --dispersed 8 --mixed 9",
+            "0e5c0c353ac7ab4197c9861cb7e485caddaf925fefd8a49632fc762bed1d24f8",
+        ),
+    ],
+)
+def test_generate_bytes_are_pinned(options, digest):
+    # the generator's draws in another order, or from another pool, change these bytes
+    result = invoke(["generate", "--seed", "3", *options.split()])
+    assert result.exit_code == 0, result.stderr
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == digest
 
 
 def test_explain_singleton_grant():
@@ -541,15 +580,21 @@ def test_explain_dispersed_shows_cluster_then_jump():
 @pytest.mark.parametrize(
     "command",
     ["scan --format csv", "scan --format json", "bands --format json",
-     "explain spn-one", "explain spn-rw", "explain spn-ultra", "explain spn-zero"],
+     "explain spn-one", "explain spn-rw", "explain spn-ultra", "explain spn-zero",
+     "check-family tests/fixtures/counterexample_family.json", "check-family tests/fixtures/golden_family.json"],
 )
 def test_stdout_does_not_depend_on_the_hash_seed(command, monkeypatch):
     # the closed form reads each grant set in set order, which the hash seed decides;
-    # explain also runs the tour kernel and the closure's per-pair distances
-    golden = json.loads((FIXTURES / "golden_stdout.json").read_text(encoding="utf-8"))[command]
+    # explain also runs the tour kernel and the closure's per-pair distances, and
+    # check-family the family's infimum matrix (it exits 1: both snapshots are dirty)
     verb, *rest = command.split()
+    if verb == "check-family":  # its golden command lines name the snapshot from the repository root
+        golden_file, args, code = "golden_check_family.json", [verb, *rest], 1
+    else:
+        golden_file, args, code = "golden_stdout.json", [verb, str(FIXTURES / "golden_tenant.json"), *rest], 0
+    golden = json.loads((FIXTURES / golden_file).read_text(encoding="utf-8"))[command]
     for seed in ("0", "1", "2"):
         monkeypatch.setenv("PYTHONHASHSEED", seed)
-        result = _run_cli([verb, str(FIXTURES / "golden_tenant.json"), *rest], capture_output=True)
-        assert result.returncode == 0, result.stderr
+        result = _run_cli(args, capture_output=True, cwd=ROOT)
+        assert result.returncode == code, result.stderr
         assert result.stdout == golden.encode("utf-8"), seed

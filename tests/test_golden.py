@@ -15,9 +15,20 @@ is the three-grant counterexample. golden_family.json has two alternates (one
 carries a subscription under a management group, one moves a resource), a
 clean principal the carve-out touches, a principal of two grants (not
 checked) and two dirty ones whose printed ratios include 2, 4 and 8.
+
+Every command runs three ways: in process, as `python -X dev -W error -m
+perimetric.cli` on this checkout's sources, and through the installed
+`perimetric` console script, with no PYTHONPATH, when one is on PATH (CI
+installs the package and fails when it is not there). A fresh interpreter
+must exit as the command does, print the golden bytes and write nothing to
+stderr: -X dev -W error turns a leaked file handle or any warning into one.
 """
 
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +78,18 @@ def _golden(path=GOLDEN) -> dict[str, str]:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _runner(name: str) -> tuple[list[str], dict[str, str]]:
+    """The command prefix and environment of a fresh-interpreter runner."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    if name == "script":
+        script = shutil.which("perimetric")
+        if script is None:
+            pytest.skip("no perimetric console script on PATH")
+        return [script], env
+    module = [sys.executable, "-X", "dev", "-W", "error", "-m", "perimetric.cli"]
+    return module, {**env, "PYTHONPATH": str(ROOT / "src")}
+
+
 def test_every_command_is_pinned():
     assert sorted(_golden()) == sorted(COMMANDS)
     assert sorted(_golden(FAMILY_GOLDEN)) == sorted(FAMILY_COMMANDS)
@@ -80,6 +103,20 @@ def test_stdout_matches_golden_bytes(command):
 @pytest.mark.parametrize("command", FAMILY_COMMANDS)
 def test_check_family_stdout_matches_golden_bytes(command):
     assert _family_stdout(command) == _golden(FAMILY_GOLDEN)[command]
+
+
+@pytest.mark.parametrize("command", COMMANDS + FAMILY_COMMANDS)
+@pytest.mark.parametrize("runner", ["module", "script"])
+def test_a_fresh_interpreter_prints_the_golden_bytes(runner, command):
+    prefix, env = _runner(runner)
+    verb, *rest = command.split()
+    if verb == "check-family":
+        args, golden, code = rest, _golden(FAMILY_GOLDEN), 1
+    else:
+        args, golden, code = [str(TENANT), *rest], _golden(), 0
+    result = subprocess.run([*prefix, verb, *args], cwd=ROOT, env=env, capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr.decode(errors="replace")) == (code, "")
+    assert result.stdout == golden[command].encode("utf-8")
 
 
 if __name__ == "__main__":

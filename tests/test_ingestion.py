@@ -179,6 +179,8 @@ def test_parse_group_cycle():
 def test_parse_alternate_validation():
     with pytest.raises(UnknownReference):
         parse_snapshot(_doc(alternates=[{"name": "alt", "parents": {"ghost": "root"}}]))
+    with pytest.raises(UnknownReference, match="^alternate 'a' names unknown parent 'ghost'$"):
+        parse_snapshot(_doc(alternates=[{"name": "a", "parents": {"sub": "ghost"}}]))
     # re-parenting a subscription under itself is structurally illegal
     with pytest.raises(IllegalParentKind):
         parse_snapshot(_doc(alternates=[{"name": "alt", "parents": {"sub": "sub"}}]))
@@ -311,3 +313,5 @@ def test_generator_invalid_configs():
         GeneratorConfig(resource_groups_per_subscription=0, tight_spns=1)
     with pytest.raises(InvalidConfig):
         GeneratorConfig(seed="nope")
+    with pytest.raises(InvalidConfig, match="^at least one subscription is required$"):
+        GeneratorConfig(subscriptions=0)

@@ -70,6 +70,19 @@ def test_nn_tour_tie_break_prefers_lowest_index():
     assert total == 30
 
 
+def test_flat_kernels_reject_what_they_cannot_walk():
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        kernels.nn_tour_flat([], 0, 0)
+    with pytest.raises(ValueError, match="^start out of range$"):
+        kernels.nn_tour_flat([0], 1, 1)
+    with pytest.raises(ValueError, match="^empty matrix$"):
+        kernels.brute_force_flat([], 0)
+    # a cap of 0 reports nothing, though the pair (0, 2) has a violating middle
+    flat = [0, 1, 2, 1, 0, 1, 2, 1, 0]
+    assert kernels.violations_flat(flat, 3, 1) == [(0, 1, 2)]
+    assert kernels.violations_flat(flat, 3, 0) == []
+
+
 def test_try_scale_dyadic_values():
     scaled = kernels.try_scale([Fraction(1, 2), 1, 0, Fraction(1, 2**21)])
     assert scaled == [2**20, 2**21, 0, 1]

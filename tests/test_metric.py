@@ -190,6 +190,12 @@ def test_family_requires_same_node_set():
         HierarchyFamily(native=tree, alternates=(("bad", other),))
 
 
+def test_family_rejects_a_repeated_alternate_name():
+    tree, _ = chain_tree()
+    with pytest.raises(ValueError, match="^alternate hierarchy name 'a' repeated$"):
+        HierarchyFamily(native=tree, alternates=(("a", tree), ("a", tree)))
+
+
 def test_check_ultrametricity_pointwise_minimum_literal():
     # pointwise minimum of two 3-point ultrametrics: d = (1, 1, 2)
     table = {
@@ -226,6 +232,7 @@ def test_check_ultrametricity_respects_limit():
     capped = check_ultrametricity(points, dist, limit=5)
     assert len(capped) == 5
     assert len(check_ultrametricity(points, dist, limit=1000)) > 5
+    assert check_ultrametricity(points, dist, limit=0) == []
 
 
 def test_effective_distances_are_ultrametric_fuzz():

@@ -119,6 +119,13 @@ def test_nn_tour_empty_input():
         nn_tour([], DistanceModel(tree))
 
 
+def test_nn_tour_start_out_of_range():
+    grants, dist = two_cluster_fixture()
+    for start in (len(grants), -1):
+        with pytest.raises(EmptyInput, match=f"^start index {start} out of range for 6 grants$"):
+            nn_tour(grants, dist, start=start)
+
+
 def test_nn_tour_visits_cluster_before_jumping():
     grants, dist = two_cluster_fixture()
     tour = nn_tour(grants, dist, start=0)

@@ -1,10 +1,12 @@
-"""The public surface: every name in perimetric.__all__ resolves through a star import."""
+"""The public surface: every name in perimetric.__all__ resolves through a star import; an unknown one does not."""
 
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import perimetric
 
@@ -67,3 +69,10 @@ def test_star_import_resolves_every_public_name():
     surface = json.loads(result.stdout)
     assert surface["missing"] == []
     assert surface["all"] == PUBLIC
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    # the lazy loader answers only for the generator's names
+    with pytest.raises(AttributeError) as info:
+        perimetric.nope
+    assert str(info.value) == "module 'perimetric' has no attribute 'nope'"
