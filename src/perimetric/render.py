@@ -1,15 +1,18 @@
 """Exact-value rendering helpers for reports.
 
 Values arrive as a numerator and a denominator (a Fraction also works):
-fixed decimals are read off the unreduced quotient, and the exact 'p/q'
-form is Fraction's own reduced one.
+fixed decimals are read off the unreduced quotient, and only the exact
+'p/q' form reduces by the gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 DIGITS = 6  # decimals in every fixed-point figure a report prints
+_ONE = 10**DIGITS  # one whole in units of the last printed decimal
+_FIXED = f"%d.%0{DIGITS}d"  # whole part, then DIGITS decimals with leading zeros
 
 _ROMAN = (
     (1000, "M"), (900, "CM"), (500, "D"), (400, "CD"),
@@ -26,11 +29,10 @@ def format_fixed(num: Fraction | int, den: int = 1) -> str:
     # int first: an isinstance check against Fraction runs ABCMeta's Python-level hook
     if not isinstance(num, int) and isinstance(num, Fraction):
         num, den = num.numerator, num.denominator * den
-    q, r = divmod(num * 10**DIGITS, den)
-    if 2 * r > den or (2 * r == den and q % 2 == 1):
+    q, r = divmod(num * _ONE, den)
+    if 2 * r > den or (2 * r == den and q & 1):
         q += 1
-    whole, part = divmod(q, 10**DIGITS)
-    return f"{whole}.{part:0{DIGITS}d}"
+    return _FIXED % divmod(q, _ONE)
 
 
 def fraction_str(num: Fraction | int, den: int = 1) -> str:
@@ -38,7 +40,11 @@ def fraction_str(num: Fraction | int, den: int = 1) -> str:
 
     A Fraction num is divided by den.
     """
-    return str(Fraction(num, den))
+    if not isinstance(num, int) and isinstance(num, Fraction):
+        num, den = num.numerator, num.denominator * den
+    common = gcd(num, den)
+    num, den = num // common, den // common
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def roman(n: int) -> str:

@@ -1,9 +1,13 @@
 import argparse
+import errno
+import gc
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +16,7 @@ import pytest
 
 import perimetric
 from perimetric import errors
-from perimetric.cli import _parser
+from perimetric.cli import _parser, main
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants, serialize_snapshot
 from perimetric.metric import effective_distance
@@ -236,6 +240,66 @@ def test_a_closed_stream_keeps_the_exit_code(args, fd, code, stderr):
     result = _run_cli(args, capture_output=True, preexec_fn=lambda: os.close(fd))
     assert result.returncode == code
     assert (result.stdout, result.stderr) == (b"", stderr)
+
+
+class _FullStdout(io.StringIO):
+    """A stdout that fails every write, as a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["scan", str(COUNTEREXAMPLE)], 0),
+        (["check-family", str(COUNTEREXAMPLE)], 1),
+        (["scan", "--format", "xml", str(COUNTEREXAMPLE)], 2),
+        (["scan", str(COUNTEREXAMPLE)], 3),  # into a stdout that fails every write
+    ],
+    ids=["scan", "check-family", "usage-error", "failed-write"],
+)
+def test_main_runs_without_the_collector_and_restores_its_state(args, code, collecting, monkeypatch):
+    seen = []
+    load = perimetric.cli._load
+    monkeypatch.setattr("perimetric.cli._load", lambda path: seen.append(gc.isenabled()) or load(path))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with redirect_stdout(_FullStdout() if code == 3 else io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                main(args)
+                exit_code = 0
+            except SystemExit as exc:
+                exit_code = exc.code
+        assert (exit_code, gc.isenabled()) == (code, collecting)
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if code == 2 else [False])
+
+
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_a_scan_leaves_as_much_cyclic_garbage_on_a_larger_tenant(output):
+    # with the collector off, a reference cycle per record would hold its memory until the
+    # command ends; here only the argument parser and the JSON encoder leave cycles behind
+    golden = (FIXTURES / "golden_tenant.json").read_text()
+    larger = serialize_snapshot(
+        generate_synthetic_tenant(GeneratorConfig(seed=3, tight_spns=40, dispersed_spns=40, mixed_spns=40))
+    )
+    assert len(json.loads(larger)["spns"]) >= 5 * len(json.loads(golden)["spns"])
+    was = gc.isenabled()
+    gc.disable()  # so no automatic collection runs between the command and the count
+    try:
+        counts = []
+        for text in (golden, golden, larger):  # the first run also fills caches
+            gc.collect()
+            assert invoke(["scan", "--format", output, "-"], input=text).exit_code == 0
+            counts.append(gc.collect())
+    finally:
+        if was:
+            gc.enable()
+    assert counts[1] == counts[2]
 
 
 def test_scan_never_imports_the_generator():

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import nested_group_chains
+from helpers import nested_group_chains, parse_snapshot_oracle
+from perimetric import ingestion
 from perimetric.errors import (
     DuplicateId,
     GroupCycle,
@@ -122,6 +123,28 @@ def test_parse_accepts_an_escaped_backslash_before_ud800():
     text = _doc(spns=["svc-\\ud800"])
     assert '"svc-\\\\ud800"' in text
     assert parse_snapshot(text).spns == ("svc-\\ud800",)
+
+
+@pytest.mark.parametrize(
+    "tail, checked, error",
+    [("", False, None), (r"\ud800", True, "lone surrogate"), (r"\\ud800", True, None)],
+    ids=["no-u-escape", "lone-surrogate", "escaped-backslash-before-ud800"],
+)
+def test_backslash_escapes_take_the_surrogate_check_only_before_a_surrogate(tail, checked, error, monkeypatch):
+    # the prescan's one-character test finds every backslash; the regex still picks the hook
+    text = r'{"version": 1, "hierarchy": [{"id": "root", "kind": "tenant_root"}], "spns": ["q\"b", "b\\s", "n\nl'
+    text += tail + '"]}'
+    calls, checked_object = [], ingestion._checked_object
+    monkeypatch.setattr(ingestion, "_checked_object", lambda pairs: calls.append(1) or checked_object(pairs))
+    if error:
+        for parse in (parse_snapshot, parse_snapshot_oracle):
+            with pytest.raises(SnapshotSyntaxError, match=error):
+                parse(text)
+    else:
+        snapshot = parse_snapshot(text)
+        assert snapshot.spns == tuple(sorted(('q"b', "b\\s", "n\nl" + json.loads(f'"{tail}"'))))
+        assert snapshot == parse_snapshot_oracle(text)
+    assert bool(calls) == checked
 
 
 def test_parse_rejects_a_raw_lone_surrogate_in_str_input():
