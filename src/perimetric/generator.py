@@ -9,6 +9,7 @@ Same seed, same snapshot, byte for byte. Three principal archetypes:
     mixed      grants sprinkled anywhere in the hierarchy
 
 Each grant draws its action from ACTIONS, the pool of its access class.
+It returns through canonical_snapshot, the builder that ends parse_snapshot.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, fields
 
 from perimetric.errors import InvalidConfig
 from perimetric.hierarchy import MAX_MG_DEPTH, HierarchyNode, NodeKind
-from perimetric.ingestion import SCHEMA_VERSION, Assignment, TenantSnapshot
+from perimetric.ingestion import TenantSnapshot, canonical_snapshot
 from perimetric.metric import AccessClass
 
 READ_ACTIONS = (
@@ -107,7 +108,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
 
     all_node_ids = [n.id for n in nodes]
     spns: list[str] = []
-    assignments: list[Assignment] = []
+    rows: list[tuple[str, str, str, str]] = []
 
     def pick_access() -> AccessClass:
         return AccessClass.WRITE if rng.random() < WRITE_FRACTION else AccessClass.READ
@@ -120,7 +121,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         scope = rng.choice(scope_pool)
         access = pick_access()
         for action in rng.sample(ACTIONS[access], rng.randint(2, 6)):
-            assignments.append(Assignment(spn, action, access, scope))
+            rows.append((spn, action, access.value, scope))
 
     for i in range(config.dispersed_spns):
         spn = f"spn-dispersed-{i:04d}"
@@ -130,27 +131,13 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
             scope = rng.choice(resources_by_sub[sub])
             access = pick_access()
             for action in rng.sample(ACTIONS[access], rng.randint(2, 3)):
-                assignments.append(Assignment(spn, action, access, scope))
+                rows.append((spn, action, access.value, scope))
 
     for i in range(config.mixed_spns):
         spn = f"spn-mixed-{i:04d}"
         spns.append(spn)
         for _ in range(rng.randint(1, 5)):
             access = pick_access()
-            assignments.append(
-                Assignment(spn, rng.choice(ACTIONS[access]), access, rng.choice(all_node_ids))
-            )
+            rows.append((spn, rng.choice(ACTIONS[access]), access.value, rng.choice(all_node_ids)))
 
-    return TenantSnapshot(
-        version=SCHEMA_VERSION,
-        hierarchy=tuple(sorted(nodes, key=lambda n: n.id)),
-        alternates=(),
-        groups=(),
-        spns=tuple(sorted(spns)),
-        assignments=tuple(
-            sorted(
-                set(assignments),
-                key=lambda a: (a.principal, a.action, a.access.value, a.scope),
-            )
-        ),
-    )
+    return canonical_snapshot(nodes, (), (), spns, rows)

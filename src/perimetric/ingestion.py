@@ -24,10 +24,10 @@ dropped in input order before one sort. Scopes are checked here, once: the
 closures built on resolved grants do not check them again.
 
 Assignment, Group, AlternateHierarchy and HierarchyNode, like Grant, are tuples
-of their fields; TenantSnapshot stays a dataclass, for its cached properties. The grant
-index keeps one Grant object per distinct (action, access, scope), shared by
-every principal that holds it, whether the snapshot was parsed or built with
-TenantSnapshot(...).
+of their fields; TenantSnapshot stays a dataclass because perfbench/workloads.py
+copies it with dataclasses.replace (cached_property needs only a __dict__). The
+grant index keeps one Grant object per distinct (action, access, scope), shared by
+every principal that holds it, whether parsed or built with TenantSnapshot(...).
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 from operator import itemgetter
 from typing import Iterable, NamedTuple, NoReturn
 
@@ -289,10 +290,22 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         )
 
     del doc, raw_assignments  # free the decoded entries before the Assignments are built
+    snapshot = canonical_snapshot(nodes, alternates, groups, spns, rows)
+    # cached_property reads the instance dict: seed it with the validated trees
+    vars(snapshot)["_family"] = snapshot._family_over(tree)
+    return snapshot
+
+
+def canonical_snapshot(
+    hierarchy: Iterable[HierarchyNode], alternates: Iterable[AlternateHierarchy],
+    groups: Iterable[Group], spns: Iterable[str], rows: Iterable[tuple[str, str, str, str]],
+) -> TenantSnapshot:
+    """The snapshot of validated records in canonical order, each (principal, action,
+    access value, scope) row kept once; parse_snapshot and the generator return it."""
     new = tuple.__new__  # skips the Python-level __new__ of a NamedTuple
-    snapshot = TenantSnapshot(
-        version=version,
-        hierarchy=tuple(sorted(nodes, key=lambda n: n.id)),
+    return TenantSnapshot(
+        version=SCHEMA_VERSION,
+        hierarchy=tuple(sorted(hierarchy, key=lambda n: n.id)),
         alternates=tuple(sorted(alternates, key=lambda a: a.name)),
         groups=tuple(sorted(groups, key=lambda g: g.id)),
         spns=tuple(sorted(spns)),
@@ -302,9 +315,6 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
             for principal, action, access, scope in sorted(dict.fromkeys(rows))
         ),
     )
-    # cached_property reads the instance dict: seed it with the validated trees
-    vars(snapshot)["_family"] = snapshot._family_over(tree)
-    return snapshot
 
 
 def _reject_assignments(entries: list, principals: set[str], tree: TenantTree) -> NoReturn:
@@ -353,41 +363,23 @@ def serialize_snapshot(snapshot: TenantSnapshot) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _check_groups_acyclic(groups: Iterable[Group]) -> list[str]:
+def _check_groups_acyclic(groups: Iterable[Group]) -> tuple[str, ...]:
     """Raise GroupCycle on a membership cycle; otherwise return the group ids
     ordered so that every group comes before the groups it contains.
 
-    Iterative depth-first search over members, so chains of any depth are fine.
+    graphlib's TopologicalSorter orders them, so chains of any depth are fine. Ids go in
+    sorted, edges in member order: the cycle named is the first met in that order.
     """
     members_of = {g.id: g.members for g in groups}
-    state: dict[str, int] = {}  # 1 in progress, 2 done
-    finished: list[str] = []
-    for root in sorted(members_of):
-        if root in state:
-            continue
-        state[root] = 1
-        trail = [root]
-        pending = [iter(members_of[root])]
-        while pending:
-            for member in pending[-1]:
-                if member not in members_of:
-                    continue
-                mark = state.get(member)
-                if mark == 1:
-                    cycle = trail[trail.index(member):] + [member]
-                    raise GroupCycle("group membership cycle: " + " -> ".join(cycle))
-                if mark is None:
-                    state[member] = 1
-                    trail.append(member)
-                    pending.append(iter(members_of[member]))
-                    break
-            else:
-                pending.pop()
-                gid = trail.pop()
-                state[gid] = 2
-                finished.append(gid)
-    finished.reverse()
-    return finished
+    order = TopologicalSorter(dict.fromkeys(sorted(members_of), ()))
+    for gid, members in members_of.items():
+        for member in members:
+            if member in members_of:
+                order.add(member, gid)
+    try:
+        return tuple(order.static_order())
+    except CycleError as exc:
+        raise GroupCycle("group membership cycle: " + " -> ".join(exc.args[1])) from None
 
 
 def _grant_index(snapshot: TenantSnapshot) -> dict[str, frozenset[Grant]]:

@@ -203,3 +203,68 @@ def test_group_cycle_message_names_the_cycle():
             {"id": "c", "members": ["d"]},
             {"id": "d", "members": ["b"]},
         ]))
+
+
+@st.composite
+def group_graphs(draw):
+    """Group graphs of any shape: each group's members are drawn from the group
+    ids and the declared SPNs, so cycles, self-loops and diamonds all occur."""
+    spns = [f"s{i}" for i in range(draw(st.integers(0, 3)))]
+    ids = draw(st.permutations([f"g{i}" for i in range(draw(st.integers(1, 9)))]))
+    return spns, {gid: draw(st.lists(st.sampled_from(ids + spns), max_size=4)) for gid in ids}
+
+
+def _peels_away(groups):
+    """Whether the graph is acyclic, decided without graphlib: drop the groups
+    that no remaining group contains until none is left or none can go."""
+    left = {gid: set(members) for gid, members in groups.items()}
+    while left:
+        contained = set().union(*left.values())
+        top = [gid for gid in left if gid not in contained]
+        if not top:
+            return False
+        for gid in top:
+            del left[gid]
+    return True
+
+
+@settings(max_examples=500, deadline=None)
+@given(group_graphs())
+def test_group_order_puts_containers_first_or_names_a_cycle(graph):
+    spns, groups = graph
+    text = _doc(groups=[{"id": gid, "members": members} for gid, members in groups.items()], spns=spns)
+    if _peels_away(groups):
+        order = ingestion._check_groups_acyclic(parse_snapshot(text).groups)
+        assert sorted(order) == sorted(groups)
+        position = {gid: i for i, gid in enumerate(order)}
+        for gid, members in groups.items():
+            for member in members:
+                if member in groups:
+                    assert position[gid] < position[member]
+    else:
+        with pytest.raises(GroupCycle) as info:
+            parse_snapshot(text)
+        prefix, _, chain = str(info.value).partition(": ")
+        assert prefix == "group membership cycle"
+        chain = chain.split(" -> ")
+        assert len(chain) >= 2 and chain[0] == chain[-1]
+        for container, member in zip(chain, chain[1:]):
+            assert member in groups[container]
+
+
+@pytest.mark.parametrize(
+    "groups, cycle",
+    [
+        # two disjoint cycles: the one met first in id order is named
+        ({"p": ["q", "svc"], "q": ["p"], "m": ["n"], "n": ["m", "svc"]}, "m -> n -> m"),
+        # a self-loop beside a longer cycle, met after it and before it
+        ({"a": ["b"], "b": ["c"], "c": ["a", "c"]}, "a -> b -> c -> a"),
+        ({"a": ["b"], "b": ["c"], "c": ["c", "d"], "d": ["b"]}, "c -> c"),
+    ],
+    ids=["disjoint", "self-loop-after", "self-loop-first"],
+)
+def test_group_cycle_message_is_pinned(groups, cycle):
+    text = _doc(groups=[{"id": gid, "members": members} for gid, members in groups.items()], spns=["svc"])
+    with pytest.raises(GroupCycle) as info:
+        parse_snapshot(text)
+    assert str(info.value) == f"group membership cycle: {cycle}"

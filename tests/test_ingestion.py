@@ -304,10 +304,34 @@ def test_generator_determinism():
     assert different != first
 
 
-def test_generator_output_parses_and_round_trips():
-    snapshot = generate_synthetic_tenant(GeneratorConfig(seed=3, tight_spns=4, dispersed_spns=4, mixed_spns=4))
-    text = serialize_snapshot(snapshot)
-    assert parse_snapshot(text) == snapshot
+# seed 0 with 200 mixed SPNs on a one-resource tenant draws 624 rows, 615 of them distinct
+REPEATING = GeneratorConfig(
+    seed=0, mixed_spns=200, management_groups=1, subscriptions=1,
+    resource_groups_per_subscription=1, resources_per_resource_group=1,
+)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(GeneratorConfig(seed=seed, tight_spns=4, dispersed_spns=4, mixed_spns=4) for seed in (3, 11, 2**40)),
+        *(GeneratorConfig(seed=seed, tight_spns=6) for seed in (0, 5)),
+        *(GeneratorConfig(seed=seed, dispersed_spns=6) for seed in (0, 5)),
+        *(GeneratorConfig(seed=seed, mixed_spns=6) for seed in (0, 5)),
+        REPEATING,
+    ],
+    ids=[
+        "all-seed3", "all-seed11", "all-seed2^40", "tight-seed0", "tight-seed5",
+        "dispersed-seed0", "dispersed-seed5", "mixed-seed0", "mixed-seed5", "mixed-repeating",
+    ],
+)
+def test_generator_output_parses_and_round_trips(config):
+    snapshot = generate_synthetic_tenant(config)
+    assert parse_snapshot(serialize_snapshot(snapshot)) == snapshot
+    keys = [(a.principal, a.action, a.access.value, a.scope) for a in snapshot.assignments]
+    assert keys == sorted(set(keys))  # in order, none repeated
+    if config is REPEATING:
+        assert len(snapshot.assignments) == 615
 
 
 def test_generator_tight_spns_are_ultracycles():
