@@ -24,9 +24,9 @@ import argparse
 import csv
 import gc
 import io
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import NoReturn, Sequence
 
 from perimetric import errors
@@ -46,7 +46,7 @@ from perimetric.ranking import (
     render_band_report_csv,
     render_band_report_json,
 )
-from perimetric.render import format_fixed, fraction_str
+from perimetric.render import format_fixed, fraction_str, json_block
 
 
 def _shown(text: str) -> str:
@@ -130,29 +130,32 @@ def _render_scan_csv(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str
 
 
 def _render_scan_json(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:
-    doc = {
-        "records": [
-            {
-                "spn": r.spn,
-                "n": r.n,
-                "blast_radius": format_fixed(r.radius, SCALE),
-                "blast_radius_exact": fraction_str(r.radius, SCALE),
-                "band": band,
-                "perimeter": format_fixed(r.length, SCALE),
-                "perimeter_exact": fraction_str(r.length, SCALE),
-                "mean_distance": format_fixed(*r.mean_parts),
-                "mean_distance_exact": fraction_str(*r.mean_parts),
-                "spread_ratio": format_fixed(*r.spread_parts),
-                "spread_ratio_exact": fraction_str(*r.spread_parts),
-                "ultracycle": r.ultracycle is not None,
-                "ultracycle_distance": (
-                    fraction_str(r.radius, SCALE) if r.ultracycle is not None else None
-                ),
-            }
-            for r, band in records
-        ]
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps({"records": [...]}, indent=2, sort_keys=True) + "\\n", one f-string template per record.
+
+    The figures are digits, '.' and '/' only, so they go between the template's
+    quotes without an encoder call.
+    """
+    enc = encode_basestring_ascii
+    rows = []
+    for r, band in records:
+        radius, mean, spread = fraction_str(r.radius, SCALE), r.mean_parts, r.spread_parts
+        ultracycle, distance = ("false", "null") if r.ultracycle is None else ("true", f'"{radius}"')
+        rows.append(
+            f'{{\n      "band": {"null" if band is None else enc(band)},\n'
+            f'      "blast_radius": "{format_fixed(r.radius, SCALE)}",\n'
+            f'      "blast_radius_exact": "{radius}",\n'
+            f'      "mean_distance": "{format_fixed(*mean)}",\n'
+            f'      "mean_distance_exact": "{fraction_str(*mean)}",\n'
+            f'      "n": {r.n},\n'
+            f'      "perimeter": "{format_fixed(r.length, SCALE)}",\n'
+            f'      "perimeter_exact": "{fraction_str(r.length, SCALE)}",\n'
+            f'      "spn": {enc(r.spn)},\n'
+            f'      "spread_ratio": "{format_fixed(*spread)}",\n'
+            f'      "spread_ratio_exact": "{fraction_str(*spread)}",\n'
+            f'      "ultracycle": {ultracycle},\n'
+            f'      "ultracycle_distance": {distance}\n    }}'
+        )
+    return f'{{\n  "records": {json_block(rows, 1)}\n}}\n'
 
 
 def _release_stdout() -> None:

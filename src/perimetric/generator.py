@@ -32,6 +32,9 @@ WRITE_ACTIONS = (
 )
 ACTIONS = {AccessClass.READ: READ_ACTIONS, AccessClass.WRITE: WRITE_ACTIONS}
 WRITE_FRACTION = 0.4  # chance that a drawn grant is a write
+# (access string, action pool) of a read draw, then of a write draw, indexed by
+# "is a write": rows take the string from here, not from .value per row
+_DRAWS = tuple((access.value, ACTIONS[access]) for access in (AccessClass.READ, AccessClass.WRITE))
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class GeneratorConfig:
 def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
     """Build a snapshot that always passes parse_snapshot validation."""
     rng = random.Random(config.seed)
-    nodes = [HierarchyNode(id="root", kind=NodeKind.TENANT_ROOT, parent=None)]
+    nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT, None)]
 
     mg_ids: list[str] = []
     mg_depth = {"root": 0}
@@ -80,7 +83,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         mg_id = f"mg-{i:03d}"
         eligible = ["root"] + [m for m in mg_ids if mg_depth[m] < MAX_MG_DEPTH]
         parent = rng.choice(eligible)
-        nodes.append(HierarchyNode(id=mg_id, kind=NodeKind.MANAGEMENT_GROUP, parent=parent))
+        nodes.append(HierarchyNode(mg_id, NodeKind.MANAGEMENT_GROUP, parent))
         mg_depth[mg_id] = mg_depth[parent] + 1
         mg_ids.append(mg_id)
 
@@ -90,28 +93,29 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
     for i in range(config.subscriptions):
         sub_id = f"sub-{i:03d}"
         parent = rng.choice(["root"] + mg_ids)
-        nodes.append(HierarchyNode(id=sub_id, kind=NodeKind.SUBSCRIPTION, parent=parent))
+        nodes.append(HierarchyNode(sub_id, NodeKind.SUBSCRIPTION, parent))
         sub_ids.append(sub_id)
         resources_by_sub[sub_id] = []
         parts_by_sub[sub_id] = []
         for j in range(config.resource_groups_per_subscription):
             rg_id = f"rg-{i:03d}-{j:02d}"
-            nodes.append(HierarchyNode(id=rg_id, kind=NodeKind.RESOURCE_GROUP, parent=sub_id))
+            nodes.append(HierarchyNode(rg_id, NodeKind.RESOURCE_GROUP, sub_id))
             for k in range(config.resources_per_resource_group):
                 res_id = f"res-{i:03d}-{j:02d}-{k:02d}"
-                nodes.append(HierarchyNode(id=res_id, kind=NodeKind.RESOURCE, parent=rg_id))
+                nodes.append(HierarchyNode(res_id, NodeKind.RESOURCE, rg_id))
                 resources_by_sub[sub_id].append(res_id)
                 for p in range(config.parts_per_resource):
                     part_id = f"part-{i:03d}-{j:02d}-{k:02d}-{p:02d}"
-                    nodes.append(HierarchyNode(id=part_id, kind=NodeKind.RESOURCE_PART, parent=res_id))
+                    nodes.append(HierarchyNode(part_id, NodeKind.RESOURCE_PART, res_id))
                     parts_by_sub[sub_id].append(part_id)
 
     all_node_ids = [n.id for n in nodes]
     spns: list[str] = []
     rows: list[tuple[str, str, str, str]] = []
 
-    def pick_access() -> AccessClass:
-        return AccessClass.WRITE if rng.random() < WRITE_FRACTION else AccessClass.READ
+    def pick_access() -> tuple[str, tuple[str, ...]]:
+        """A drawn grant's access string and action pool."""
+        return _DRAWS[rng.random() < WRITE_FRACTION]
 
     for i in range(config.tight_spns):
         spn = f"spn-tight-{i:04d}"
@@ -119,9 +123,9 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         sub = rng.choice(sub_ids)
         scope_pool = resources_by_sub[sub] + parts_by_sub[sub]
         scope = rng.choice(scope_pool)
-        access = pick_access()
-        for action in rng.sample(ACTIONS[access], rng.randint(2, 6)):
-            rows.append((spn, action, access.value, scope))
+        access, pool = pick_access()
+        for action in rng.sample(pool, rng.randint(2, 6)):
+            rows.append((spn, action, access, scope))
 
     for i in range(config.dispersed_spns):
         spn = f"spn-dispersed-{i:04d}"
@@ -129,15 +133,15 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         cluster_count = rng.randint(2, min(3, len(sub_ids)))
         for sub in rng.sample(sub_ids, cluster_count):
             scope = rng.choice(resources_by_sub[sub])
-            access = pick_access()
-            for action in rng.sample(ACTIONS[access], rng.randint(2, 3)):
-                rows.append((spn, action, access.value, scope))
+            access, pool = pick_access()
+            for action in rng.sample(pool, rng.randint(2, 3)):
+                rows.append((spn, action, access, scope))
 
     for i in range(config.mixed_spns):
         spn = f"spn-mixed-{i:04d}"
         spns.append(spn)
         for _ in range(rng.randint(1, 5)):
-            access = pick_access()
-            rows.append((spn, rng.choice(ACTIONS[access]), access.value, rng.choice(all_node_ids)))
+            access, pool = pick_access()
+            rows.append((spn, rng.choice(pool), access, rng.choice(all_node_ids)))
 
     return canonical_snapshot(nodes, (), (), spns, rows)

@@ -21,7 +21,11 @@ and normalizes ordering, so parse -> serialize -> parse round-trips byte-identic
 Validation works in bulk: a prescan decides whether the per-string surrogate
 check runs, assignments are checked as tuples in one pass, and duplicates are
 dropped in input order before one sort. Scopes are checked here, once: the
-closures built on resolved grants do not check them again.
+closures built on resolved grants do not check them again. The group order
+found while checking for cycles is kept on the snapshot for grant resolution.
+
+serialize_snapshot writes exactly the bytes of json.dumps(doc, indent=2,
+sort_keys=True), from per-record templates over the C string encoder (see render).
 
 Assignment, Group, AlternateHierarchy and HierarchyNode, like Grant, are tuples
 of their fields; TenantSnapshot stays a dataclass because perfbench/workloads.py
@@ -38,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Iterable, NamedTuple, NoReturn
 
@@ -52,6 +57,7 @@ from perimetric.errors import (
 )
 from perimetric.hierarchy import HierarchyNode, NodeKind, TenantTree, build_tree
 from perimetric.metric import AccessClass, Grant, HierarchyFamily
+from perimetric.render import json_block
 
 SCHEMA_VERSION = 1
 _ACCESS = {access.value: access for access in AccessClass}
@@ -59,6 +65,9 @@ _KINDS = {kind.value: kind for kind in NodeKind}
 _ASSIGNMENT_FIELDS = itemgetter("principal", "action", "access", "scope")
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 _RAW_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# enum values encoded once: a dict lookup is several times cheaper than .value
+_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in NodeKind}
+_ACCESS_JSON = {access: encode_basestring_ascii(access.value) for access in AccessClass}
 
 
 class Assignment(NamedTuple):
@@ -111,6 +120,11 @@ class TenantSnapshot:
             except PerimetricError as exc:  # name the hierarchy that failed, not only the node
                 raise type(exc)(f"alternate {alt.name!r}: {exc}") from None
         return HierarchyFamily(native=native, alternates=tuple(alternates))
+
+    @cached_property
+    def _group_order(self) -> tuple[str, ...]:
+        """Group ids, each before the groups it contains; parse_snapshot seeds its own."""
+        return _check_groups_acyclic(self.groups)
 
     @cached_property
     def _effective_grants(self) -> dict[str, frozenset[Grant]]:
@@ -251,7 +265,7 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
         for member in group.members:
             if member not in seen_principals:
                 raise UnknownReference(f"group {group.id!r} member {member!r} is not declared")
-    _check_groups_acyclic(groups)
+    group_order = _check_groups_acyclic(groups)
 
     raw_assignments = _list_field(doc, "assignments")
     try:
@@ -291,8 +305,8 @@ def parse_snapshot(data: str | bytes) -> TenantSnapshot:
 
     del doc, raw_assignments  # free the decoded entries before the Assignments are built
     snapshot = canonical_snapshot(nodes, alternates, groups, spns, rows)
-    # cached_property reads the instance dict: seed it with the validated trees
-    vars(snapshot)["_family"] = snapshot._family_over(tree)
+    # cached_property reads the instance dict: seed it with the validated trees and group order
+    vars(snapshot).update(_family=snapshot._family_over(tree), _group_order=group_order)
     return snapshot
 
 
@@ -338,29 +352,37 @@ def _reject_assignments(entries: list, principals: set[str], tree: TenantTree) -
 
 
 def serialize_snapshot(snapshot: TenantSnapshot) -> str:
-    """Canonical JSON text; parse(serialize(s)) == s, byte for byte."""
-    doc = {
-        "version": snapshot.version,
-        "hierarchy": [
-            {"id": n.id, "kind": n.kind.value, **({"parent": n.parent} if n.parent else {})}
-            for n in snapshot.hierarchy
-        ],
-        "alternates": [
-            {"name": a.name, "parents": dict(a.parents)} for a in snapshot.alternates
-        ],
-        "groups": [{"id": g.id, "members": list(g.members)} for g in snapshot.groups],
-        "spns": list(snapshot.spns),
-        "assignments": [
-            {
-                "principal": a.principal,
-                "action": a.action,
-                "access": a.access.value,
-                "scope": a.scope,
-            }
-            for a in snapshot.assignments
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text; parse(serialize(s)) == s, byte for byte.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) + "\\n" of the snapshot's
+    document, written from one f-string template per record shape: keys in sorted
+    order, indented for the record's depth (an f-string builds a record about four
+    times faster than a % template).
+    """
+    enc, kinds, access_of = encode_basestring_ascii, _KIND_JSON, _ACCESS_JSON
+    alternates = []
+    for name, parents in snapshot.alternates:
+        pairs = [f"{enc(child)}: {enc(parent)}" for child, parent in sorted(dict(parents).items())]
+        alternates.append(f'{{\n      "name": {enc(name)},\n      "parents": {json_block(pairs, 3, "{}")}\n    }}')
+    assignments = [
+        f'{{\n      "access": {access_of[access]},\n      "action": {enc(action)},\n'
+        f'      "principal": {enc(principal)},\n      "scope": {enc(scope)}\n    }}'
+        for principal, action, access, scope in snapshot.assignments
+    ]
+    groups = [
+        f'{{\n      "id": {enc(group_id)},\n      "members": {json_block(map(enc, members), 3)}\n    }}'
+        for group_id, members in snapshot.groups
+    ]
+    hierarchy = [
+        f'{{\n      "id": {enc(node_id)},\n      "kind": {kinds[kind]},\n      "parent": {enc(parent)}\n    }}'
+        if parent else f'{{\n      "id": {enc(node_id)},\n      "kind": {kinds[kind]}\n    }}'
+        for node_id, kind, parent in snapshot.hierarchy
+    ]
+    return (
+        f'{{\n  "alternates": {json_block(alternates, 1)},\n  "assignments": {json_block(assignments, 1)},\n'
+        f'  "groups": {json_block(groups, 1)},\n  "hierarchy": {json_block(hierarchy, 1)},\n'
+        f'  "spns": {json_block(map(enc, snapshot.spns), 1)},\n  "version": {snapshot.version}\n}}\n'
+    )
 
 
 def _check_groups_acyclic(groups: Iterable[Group]) -> tuple[str, ...]:
@@ -410,7 +432,7 @@ def _grant_index(snapshot: TenantSnapshot) -> dict[str, frozenset[Grant]]:
             return inherited[0]
         return frozenset().union(own or (), *inherited)
 
-    for gid in _check_groups_acyclic(snapshot.groups):
+    for gid in snapshot._group_order:
         closure[gid] = effective(gid)
     return {spn: effective(spn) for spn in snapshot.spns}
 

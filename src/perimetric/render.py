@@ -3,12 +3,20 @@
 Values arrive as a numerator and a denominator (a Fraction also works):
 fixed decimals are read off the unreduced quotient, and only the exact
 'p/q' form reduces by the gcd.
+
+The snapshot and scan JSON writers emit exactly the bytes of
+json.dumps(doc, indent=2, sort_keys=True), through one f-string template
+per record shape with its keys in sorted order. Every id goes through
+json.encoder.encode_basestring_ascii, the C function json.dumps calls,
+and json_block lays out the members of a list or object as indent=2
+does. json.dumps itself runs its C encoder only when indent is None.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 DIGITS = 6  # decimals in every fixed-point figure a report prints
 _ONE = 10**DIGITS  # one whole in units of the last printed decimal
@@ -45,6 +53,17 @@ def fraction_str(num: Fraction | int, den: int = 1) -> str:
     common = gcd(num, den)
     num, den = num // common, den // common
     return str(num) if den == 1 else f"{num}/{den}"
+
+
+def json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
+    """Already-encoded members as json.dumps(indent=2) lays out a list (or, with
+    brackets "{}", an object) opened at nesting depth `depth`: one member a line,
+    one level deeper, and bare brackets when there is none."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    if not body:  # an encoded member is never empty
+        return brackets
+    return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}"
 
 
 def roman(n: int) -> str:

@@ -46,6 +46,7 @@ from perimetric.ingestion import (
 )
 from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass, DistanceModel, EffectiveDistance, Grant
 from perimetric.perimeter import sorted_grants, spread_ratio
+from perimetric.render import format_fixed, fraction_str
 
 @dataclass(frozen=True)
 class CliResult:
@@ -358,6 +359,60 @@ def format_fixed_fraction(value) -> str:
         q += 1
     whole, part = divmod(q, 10**6)
     return f"{whole}.{part:06d}"
+
+
+def serialize_snapshot_oracle(snapshot: TenantSnapshot) -> str:
+    """Oracle for ingestion.serialize_snapshot: build the document and let json.dumps write it."""
+    doc = {
+        "version": snapshot.version,
+        "hierarchy": [
+            {"id": n.id, "kind": n.kind.value, **({"parent": n.parent} if n.parent else {})}
+            for n in snapshot.hierarchy
+        ],
+        "alternates": [
+            {"name": a.name, "parents": dict(a.parents)} for a in snapshot.alternates
+        ],
+        "groups": [{"id": g.id, "members": list(g.members)} for g in snapshot.groups],
+        "spns": list(snapshot.spns),
+        "assignments": [
+            {
+                "principal": a.principal,
+                "action": a.action,
+                "access": a.access.value,
+                "scope": a.scope,
+            }
+            for a in snapshot.assignments
+        ],
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def render_scan_json_oracle(records) -> str:
+    """Oracle for cli._render_scan_json: build the document and let json.dumps write it."""
+    scale = kernels.SCALE
+    doc = {
+        "records": [
+            {
+                "spn": r.spn,
+                "n": r.n,
+                "blast_radius": format_fixed(r.radius, scale),
+                "blast_radius_exact": fraction_str(r.radius, scale),
+                "band": band,
+                "perimeter": format_fixed(r.length, scale),
+                "perimeter_exact": fraction_str(r.length, scale),
+                "mean_distance": format_fixed(*r.mean_parts),
+                "mean_distance_exact": fraction_str(*r.mean_parts),
+                "spread_ratio": format_fixed(*r.spread_parts),
+                "spread_ratio_exact": fraction_str(*r.spread_parts),
+                "ultracycle": r.ultracycle is not None,
+                "ultracycle_distance": (
+                    fraction_str(r.radius, scale) if r.ultracycle is not None else None
+                ),
+            }
+            for r, band in records
+        ]
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:

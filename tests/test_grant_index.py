@@ -268,3 +268,20 @@ def test_group_cycle_message_is_pinned(groups, cycle):
     with pytest.raises(GroupCycle) as info:
         parse_snapshot(text)
     assert str(info.value) == f"group membership cycle: {cycle}"
+
+
+def test_a_parse_and_a_scan_order_the_groups_once(monkeypatch):
+    calls = []
+    order_groups = ingestion._check_groups_acyclic
+    monkeypatch.setattr(ingestion, "_check_groups_acyclic", lambda groups: calls.append(1) or order_groups(groups))
+    text = nested_group_chains(seed=3)
+    assert invoke(["scan", "-"], input=text).exit_code == 0
+    assert len(calls) == 1
+    # a snapshot not made by parse_snapshot orders its groups on its first resolution, once
+    parsed = parse_snapshot(text)
+    built = TenantSnapshot(*(getattr(parsed, field.name) for field in dataclasses.fields(parsed)))
+    for snapshot in (dataclasses.replace(parsed), built):
+        calls.clear()
+        for spn in snapshot.spns:
+            assert resolve_effective_grants(spn, snapshot) == resolve_effective_grants(spn, parsed)
+        assert len(calls) == 1
