@@ -8,7 +8,7 @@ Same seed, same snapshot, byte for byte. Three principal archetypes:
                subscriptions: small inside clusters, large across
     mixed      grants sprinkled anywhere in the hierarchy
 
-Each grant draws its action from ACTIONS, the pool of its access class.
+Each grant draws its action from READ_ACTIONS or WRITE_ACTIONS, the pool of its access class.
 It returns through canonical_snapshot, the builder that ends parse_snapshot.
 """
 
@@ -30,11 +30,10 @@ WRITE_ACTIONS = (
     "DeleteBlob", "SendQueueMessage", "WriteBlob", "WriteConfiguration",
     "WriteFileShare", "WriteSecret", "WriteTableEntity", "WriteTopicMessage",
 )
-ACTIONS = {AccessClass.READ: READ_ACTIONS, AccessClass.WRITE: WRITE_ACTIONS}
 WRITE_FRACTION = 0.4  # chance that a drawn grant is a write
 # (access string, action pool) of a read draw, then of a write draw, indexed by
 # "is a write": rows take the string from here, not from .value per row
-_DRAWS = tuple((access.value, ACTIONS[access]) for access in (AccessClass.READ, AccessClass.WRITE))
+_DRAWS = ((AccessClass.READ.value, READ_ACTIONS), (AccessClass.WRITE.value, WRITE_ACTIONS))
 
 
 @dataclass(frozen=True)
@@ -77,37 +76,40 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
     rng = random.Random(config.seed)
     nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT, None)]
 
-    mg_ids: list[str] = []
+    eligible = ["root"]  # parents a new group may take: the root and each group shallower than the cap
+    sub_parents = ["root"]  # parents a subscription may take: the root and every group
     mg_depth = {"root": 0}
     for i in range(config.management_groups):
         mg_id = f"mg-{i:03d}"
-        eligible = ["root"] + [m for m in mg_ids if mg_depth[m] < MAX_MG_DEPTH]
         parent = rng.choice(eligible)
         nodes.append(HierarchyNode(mg_id, NodeKind.MANAGEMENT_GROUP, parent))
         mg_depth[mg_id] = mg_depth[parent] + 1
-        mg_ids.append(mg_id)
+        if mg_depth[mg_id] < MAX_MG_DEPTH:
+            eligible.append(mg_id)
+        sub_parents.append(mg_id)
 
     sub_ids: list[str] = []
     resources_by_sub: dict[str, list[str]] = {}
-    parts_by_sub: dict[str, list[str]] = {}
+    scopes_by_sub: dict[str, list[str]] = {}  # a tight draw's pool: the resources, then the parts
     for i in range(config.subscriptions):
         sub_id = f"sub-{i:03d}"
-        parent = rng.choice(["root"] + mg_ids)
+        parent = rng.choice(sub_parents)
         nodes.append(HierarchyNode(sub_id, NodeKind.SUBSCRIPTION, parent))
         sub_ids.append(sub_id)
-        resources_by_sub[sub_id] = []
-        parts_by_sub[sub_id] = []
+        resources, parts = [], []
         for j in range(config.resource_groups_per_subscription):
             rg_id = f"rg-{i:03d}-{j:02d}"
             nodes.append(HierarchyNode(rg_id, NodeKind.RESOURCE_GROUP, sub_id))
             for k in range(config.resources_per_resource_group):
                 res_id = f"res-{i:03d}-{j:02d}-{k:02d}"
                 nodes.append(HierarchyNode(res_id, NodeKind.RESOURCE, rg_id))
-                resources_by_sub[sub_id].append(res_id)
+                resources.append(res_id)
                 for p in range(config.parts_per_resource):
                     part_id = f"part-{i:03d}-{j:02d}-{k:02d}-{p:02d}"
                     nodes.append(HierarchyNode(part_id, NodeKind.RESOURCE_PART, res_id))
-                    parts_by_sub[sub_id].append(part_id)
+                    parts.append(part_id)
+        resources_by_sub[sub_id] = resources
+        scopes_by_sub[sub_id] = resources + parts
 
     all_node_ids = [n.id for n in nodes]
     spns: list[str] = []
@@ -121,8 +123,7 @@ def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:
         spn = f"spn-tight-{i:04d}"
         spns.append(spn)
         sub = rng.choice(sub_ids)
-        scope_pool = resources_by_sub[sub] + parts_by_sub[sub]
-        scope = rng.choice(scope_pool)
+        scope = rng.choice(scopes_by_sub[sub])
         access, pool = pick_access()
         for action in rng.sample(pool, rng.randint(2, 6)):
             rows.append((spn, action, access, scope))

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from enum import Enum
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
 
 from perimetric.errors import UnbandableRadius
 from perimetric.kernels import SCALE
 from perimetric.metric import HEIGHTS, AccessClass
 from perimetric.perimeter import PrincipalRisk
-from perimetric.render import format_fixed, fraction_str, roman
+from perimetric.render import format_fixed, fraction_str, json_block, roman
 
 # Bands at or above this radius are labeled Dispersed, the rest Tight.
 TIGHT_RADIUS_BOUND = Fraction(1, 10_000)
@@ -152,17 +152,14 @@ def render_band_report_csv(rows: Sequence[BandReportRow], no_permissions: int = 
 
 
 def render_band_report_json(rows: Sequence[BandReportRow], no_permissions: int = 0) -> str:
-    doc = {
-        "bands": [
-            {
-                "band": row.label,
-                "spn_count": row.spn_count,
-                "avg_spread_ratio": format_fixed(row.avg_spread_ratio),
-                "avg_spread_ratio_exact": fraction_str(row.avg_spread_ratio),
-                "regime": row.regime.value,
-            }
-            for row in rows
-        ],
-        "no_permissions": {"spn_count": no_permissions},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) + "\\n" of the report, one f-string template per row."""
+    enc = encode_basestring_ascii
+    bands = [
+        f'{{\n      "avg_spread_ratio": "{format_fixed(row.avg_spread_ratio)}",\n'
+        f'      "avg_spread_ratio_exact": "{fraction_str(row.avg_spread_ratio)}",\n'
+        f'      "band": {enc(row.label)},\n      "regime": {enc(row.regime.value)},\n'
+        f'      "spn_count": {row.spn_count}\n    }}'
+        for row in rows
+    ]
+    counts = f'{{\n    "spn_count": {no_permissions}\n  }}'
+    return f'{{\n  "bands": {json_block(bands, 1)},\n  "no_permissions": {counts}\n}}\n'

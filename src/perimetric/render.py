@@ -4,11 +4,11 @@ Values arrive as a numerator and a denominator (a Fraction also works):
 fixed decimals are read off the unreduced quotient, and only the exact
 'p/q' form reduces by the gcd.
 
-The snapshot and scan JSON writers emit exactly the bytes of
-json.dumps(doc, indent=2, sort_keys=True), through one f-string template
-per record shape with its keys in sorted order. Every id goes through
+The snapshot, scan and band-report JSON writers emit exactly the bytes
+of json.dumps(doc, indent=2, sort_keys=True), one f-string template per
+record shape with its keys in sorted order. Ids and labels go through
 json.encoder.encode_basestring_ascii, the C function json.dumps calls,
-and json_block lays out the members of a list or object as indent=2
+and json_block lays out a list's or an object's members as indent=2
 does. json.dumps itself runs its C encoder only when indent is None.
 """
 

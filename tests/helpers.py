@@ -415,6 +415,24 @@ def render_scan_json_oracle(records) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def render_band_report_json_oracle(rows, no_permissions: int = 0) -> str:
+    """Oracle for ranking.render_band_report_json: build the document and let json.dumps write it."""
+    doc = {
+        "bands": [
+            {
+                "band": row.label,
+                "spn_count": row.spn_count,
+                "avg_spread_ratio": format_fixed(row.avg_spread_ratio),
+                "avg_spread_ratio_exact": fraction_str(row.avg_spread_ratio),
+                "regime": row.regime.value,
+            }
+            for row in rows
+        ],
+        "no_permissions": {"spn_count": no_permissions},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:
     """A generated snapshot's document with groups nested in chains.
 

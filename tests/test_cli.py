@@ -584,6 +584,11 @@ def test_each_generator_field_is_the_dest_of_one_generate_option():
             " --tight 7 --dispersed 8 --mixed 9",
             "0e5c0c353ac7ab4197c9861cb7e485caddaf925fefd8a49632fc762bed1d24f8",
         ),
+        (  # 4 of the 40 groups sit at the depth cap, so the cap decides later parent draws
+            "--management-groups 40 --subscriptions 30 --resource-groups 2 --resources 3 --parts 2"
+            " --tight 20 --dispersed 10 --mixed 10",
+            "a8ccb74fb894c1603dec7cd757a31d6a7fa9cc9fa4f45d94a00feb332769e2d2",
+        ),
     ],
 )
 def test_generate_bytes_are_pinned(options, digest):

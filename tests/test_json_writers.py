@@ -1,20 +1,25 @@
-"""The snapshot and scan JSON writers against the json.dumps oracles they replace."""
+"""The snapshot, scan and band-report JSON writers against the json.dumps oracles they replace."""
 
+import ast
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perimetric
 from perimetric import cli
 from perimetric.hierarchy import HierarchyNode, NodeKind
 from perimetric.ingestion import AlternateHierarchy, Assignment, Group, TenantSnapshot, serialize_snapshot
 from perimetric.kernels import SCALE
 from perimetric.metric import AccessClass
 from perimetric.perimeter import PrincipalRisk
+from perimetric.ranking import BandReportRow, Regime, enumerate_bands, render_band_report_json
 from perimetric.render import json_block
 
-from helpers import invoke, render_scan_json_oracle, serialize_snapshot_oracle
+from helpers import invoke, render_band_report_json_oracle, render_scan_json_oracle, serialize_snapshot_oracle
 
 # ids of any code point, surrogates included, weighted towards the characters JSON escapes
 _HOSTILE = st.text(
@@ -96,6 +101,48 @@ def test_scan_command_writes_the_oracle_bytes_for_hostile_ids():
     result = invoke(["scan", "--format", "json", "-"], input=serialize_snapshot(snapshot))
     assert result.exit_code == 0, result.stderr
     assert result.stdout == render_scan_json_oracle(cli._scan_records(snapshot))
+
+
+# spread ratios as band_report averages them: 0, 1, any small fraction, and terms of hundreds of digits
+_RATIOS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0),
+    st.builds(Fraction, st.integers(0, 10**300), st.integers(1, 10**300)),
+)
+
+
+@st.composite
+def band_reports(draw):
+    """(rows, no-permissions count): hostile labels, counts past 2**64, and bands None or from the census."""
+    row = st.builds(
+        BandReportRow,
+        _HOSTILE,
+        st.integers(0, 2**70),
+        _RATIOS,
+        st.sampled_from(list(Regime)),
+        st.one_of(st.none(), st.sampled_from(enumerate_bands())),
+    )
+    return draw(st.lists(row, max_size=4)), draw(st.integers(0, 2**70))
+
+
+@settings(max_examples=400, deadline=None)
+@given(band_reports())
+@example(([], 0))
+def test_band_report_json_writes_the_json_dumps_bytes(report):
+    assert render_band_report_json(*report) == render_band_report_json_oracle(*report)
+
+
+def test_no_module_writes_json_through_json_dumps():
+    # every JSON writer is a template over encode_basestring_ascii; json.dumps stays the tests' oracle
+    found = []
+    for path in sorted(Path(perimetric.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                found += [(path.name, a.name) for a in node.names if a.name in ("dump", "dumps")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps"):
+                if isinstance(node.value, ast.Name) and node.value.id == "json":
+                    found.append((path.name, f"json.{node.attr}"))
+    assert found == []
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3])
