@@ -21,9 +21,7 @@ hundred cyclic objects of the argument parser and the JSON encoder.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
-import io
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -46,7 +44,7 @@ from perimetric.ranking import (
     render_band_report_csv,
     render_band_report_json,
 )
-from perimetric.render import format_fixed, fraction_str, json_block
+from perimetric.render import csv_text, format_fixed, fraction_str, json_block
 
 
 def _shown(text: str) -> str:
@@ -108,25 +106,15 @@ def _scan_records(snapshot: TenantSnapshot) -> list[tuple[PrincipalRisk, str | N
 
 
 def _render_scan_csv(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"]
+    return csv_text(
+        ("spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"),
+        (
+            (r.spn, r.n, format_fixed(r.radius, SCALE), band or "-", format_fixed(r.length, SCALE),
+             format_fixed(*r.mean_parts), format_fixed(*r.spread_parts),
+             "true" if r.ultracycle is not None else "false")
+            for r, band in records
+        ),
     )
-    for r, band in records:
-        writer.writerow(
-            [
-                r.spn,
-                r.n,
-                format_fixed(r.radius, SCALE),
-                band or "-",
-                format_fixed(r.length, SCALE),
-                format_fixed(*r.mean_parts),
-                format_fixed(*r.spread_parts),
-                "true" if r.ultracycle is not None else "false",
-            ]
-        )
-    return out.getvalue()
 
 
 def _render_scan_json(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:

@@ -4,27 +4,29 @@ The distance formula, with its fixed read and write weights 1 and 2,
 admits exactly 22 values, one per (level, access) pair, so principals
 sharing a blast radius fall into the same band. The bands are one fixed
 census built from the distance table, metric.HEIGHTS, and looked up by
-the radius in units of 2**-21. Ranking sorts by radius first and breaks
-ties with the perimeter: a larger tour means more elongated permission
-geometry and ranks riskier. Band reports can be anonymized by shuffling
-rows under a seed and relabeling them with roman numerals.
+the radius in units of 2**-21, once per populated band. A band's average
+spread ratio is exact: its members' ratios are summed on integers over
+one common denominator, and only the average becomes a Fraction.
+Ranking sorts by radius first and breaks ties with the perimeter: a
+larger tour means more elongated permission geometry and ranks riskier.
+Band reports can be anonymized by shuffling rows under a seed and
+relabeling them with roman numerals.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 from enum import Enum
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from perimetric.errors import UnbandableRadius
 from perimetric.kernels import SCALE
 from perimetric.metric import HEIGHTS, AccessClass
 from perimetric.perimeter import PrincipalRisk
-from perimetric.render import format_fixed, fraction_str, json_block, roman
+from perimetric.render import csv_text, format_fixed, fraction_str, json_block, roman
 
 # Bands at or above this radius are labeled Dispersed, the rest Tight.
 TIGHT_RADIUS_BOUND = Fraction(1, 10_000)
@@ -106,31 +108,25 @@ def band_report(
     Zero-radius principals are excluded; they belong in a separate
     no-permissions section, not a band. Radius 0 means fewer than two
     distinct grants, so that section counts principals with no grant and
-    those with exactly one. With anonymize set, rows are shuffled by the
-    seeded permutation and relabeled I, II, III, ... in shuffled order.
+    those with exactly one. Members are bucketed by radius, and each band
+    is averaged once, exactly: its spread ratios' numerators are summed
+    over one common denominator, the lcm of theirs. A radius that is no
+    band value raises UnbandableRadius; with several, the largest is named.
+    With anonymize set, rows are shuffled by the seeded permutation and
+    relabeled I, II, III, ... in shuffled order.
     """
-    buckets: dict[str, list[PrincipalRisk]] = {}
+    buckets: dict[int, list[tuple[int, int]]] = {}
     for risk in risks:
-        if risk.radius == 0:
-            continue
-        band = band_of(risk.radius, SCALE)
-        buckets.setdefault(band.label, []).append(risk)
+        if risk.radius:
+            buckets.setdefault(risk.radius, []).append(risk.spread_parts)
 
     rows = []
-    for band in _BANDS:
-        members = buckets.get(band.label)
-        if not members:
-            continue
-        avg = sum((m.spread_ratio for m in members), Fraction(0)) / len(members)
-        rows.append(
-            BandReportRow(
-                label=band.label,
-                spn_count=len(members),
-                avg_spread_ratio=avg,
-                regime=regime_for(band.value),
-                band=band,
-            )
-        )
+    for radius in sorted(buckets, reverse=True):  # bands strictly decrease, so this is census order
+        band = band_of(radius, SCALE)
+        parts = buckets[radius]
+        common = lcm(*{den for _, den in parts})
+        avg = Fraction(sum(num * (common // den) for num, den in parts), common * len(parts))
+        rows.append(BandReportRow(band.label, len(parts), avg, regime_for(band.value), band))
 
     if anonymize:
         random.Random(seed).shuffle(rows)
@@ -139,16 +135,10 @@ def band_report(
 
 
 def render_band_report_csv(rows: Sequence[BandReportRow], no_permissions: int = 0) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["band", "spn_count", "avg_spread_ratio", "regime"])
-    for row in rows:
-        writer.writerow(
-            [row.label, row.spn_count, format_fixed(row.avg_spread_ratio), row.regime.value]
-        )
+    body = [(row.label, row.spn_count, format_fixed(row.avg_spread_ratio), row.regime.value) for row in rows]
     if no_permissions:
-        writer.writerow(["no-permissions", no_permissions, "", ""])
-    return out.getvalue()
+        body.append(("no-permissions", no_permissions, "", ""))
+    return csv_text(("band", "spn_count", "avg_spread_ratio", "regime"), body)
 
 
 def render_band_report_json(rows: Sequence[BandReportRow], no_permissions: int = 0) -> str:

@@ -10,13 +10,18 @@ record shape with its keys in sorted order. Ids and labels go through
 json.encoder.encode_basestring_ascii, the C function json.dumps calls,
 and json_block lays out a list's or an object's members as indent=2
 does. json.dumps itself runs its C encoder only when indent is None.
+
+csv_text is the one CSV writer: the scan and band-report tables both go
+through it, so they share one dialect.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Sequence
 
 DIGITS = 6  # decimals in every fixed-point figure a report prints
 _ONE = 10**DIGITS  # one whole in units of the last printed decimal
@@ -64,6 +69,19 @@ def json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
     if not body:  # an encoded member is never empty
         return brackets
     return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}"
+
+
+def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
+    """The header row, then every row, as csv.writer writes them with lines ending in "\\n".
+
+    A field is quoted only when it holds a comma, a double quote or a "\\n"
+    (Python 3.13 also quotes a "\\r", which 3.10 to 3.12.1 leave bare).
+    """
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def roman(n: int) -> str:

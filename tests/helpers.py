@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
@@ -45,8 +46,9 @@ from perimetric.ingestion import (
     serialize_snapshot,
 )
 from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass, DistanceModel, EffectiveDistance, Grant
-from perimetric.perimeter import sorted_grants, spread_ratio
-from perimetric.render import format_fixed, fraction_str
+from perimetric.perimeter import PrincipalRisk, sorted_grants, spread_ratio
+from perimetric.ranking import BandReportRow, Regime, band_of, enumerate_bands, regime_for
+from perimetric.render import format_fixed, fraction_str, roman
 
 @dataclass(frozen=True)
 class CliResult:
@@ -431,6 +433,114 @@ def render_band_report_json_oracle(rows, no_permissions: int = 0) -> str:
         "no_permissions": {"spn_count": no_permissions},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def scan_records(draw, texts):
+    """(PrincipalRisk, band label) pairs with ids and labels drawn from `texts`, bands
+    None or set, and ultracycles: a pair sum of radius times the pair count."""
+    scale = kernels.SCALE
+    records = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 50))
+        radius, length = draw(st.integers(0, 2 * scale)), draw(st.integers(0, 50 * scale))
+        pairs = n * (n - 1) // 2
+        pair_sum = draw(st.one_of(st.just(radius * pairs), st.integers(0, pairs * scale)))
+        band = draw(st.one_of(st.none(), st.just(""), texts))
+        records.append((PrincipalRisk(draw(texts), n, radius, length, pair_sum), band))
+    return records
+
+
+# spread ratios as band_report averages them: 0, 1, any small fraction, and terms of hundreds of digits
+_RATIOS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0),
+    st.builds(Fraction, st.integers(0, 10**300), st.integers(1, 10**300)),
+)
+
+
+@st.composite
+def band_reports(draw, texts):
+    """(rows, no-permissions count): labels drawn from `texts`, counts 0 or past 2**64,
+    and bands None or from the census."""
+    row = st.builds(
+        BandReportRow,
+        texts,
+        st.integers(0, 2**70),
+        _RATIOS,
+        st.sampled_from(list(Regime)),
+        st.one_of(st.none(), st.sampled_from(enumerate_bands())),
+    )
+    return draw(st.lists(row, max_size=4)), draw(st.one_of(st.just(0), st.integers(0, 2**70)))
+
+
+def band_report_oracle(risks, anonymize: bool = False, seed: int = 0) -> list[BandReportRow]:
+    """Oracle for ranking.band_report: look up each SPN's band, then walk the census
+    and average each band's spread ratios as a running sum of Fractions."""
+    buckets = {}
+    for risk in risks:
+        if risk.radius == 0:
+            continue
+        band = band_of(risk.radius, kernels.SCALE)
+        buckets.setdefault(band.label, []).append(risk)
+
+    rows = []
+    for band in enumerate_bands():
+        members = buckets.get(band.label)
+        if not members:
+            continue
+        avg = sum((m.spread_ratio for m in members), Fraction(0)) / len(members)
+        rows.append(
+            BandReportRow(
+                label=band.label,
+                spn_count=len(members),
+                avg_spread_ratio=avg,
+                regime=regime_for(band.value),
+                band=band,
+            )
+        )
+
+    if anonymize:
+        random.Random(seed).shuffle(rows)
+        rows = [row._replace(label=roman(i + 1), band=None) for i, row in enumerate(rows)]
+    return rows
+
+
+def render_scan_csv_oracle(records) -> str:
+    """Oracle for cli._render_scan_csv: one csv.writer row per record."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"]
+    )
+    for r, band in records:
+        writer.writerow(
+            [
+                r.spn,
+                r.n,
+                format_fixed(r.radius, kernels.SCALE),
+                band or "-",
+                format_fixed(r.length, kernels.SCALE),
+                format_fixed(*r.mean_parts),
+                format_fixed(*r.spread_parts),
+                "true" if r.ultracycle is not None else "false",
+            ]
+        )
+    return out.getvalue()
+
+
+def render_band_report_csv_oracle(rows, no_permissions: int = 0) -> str:
+    """Oracle for ranking.render_band_report_csv: one csv.writer row per band row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["band", "spn_count", "avg_spread_ratio", "regime"])
+    for row in rows:
+        writer.writerow(
+            [row.label, row.spn_count, format_fixed(row.avg_spread_ratio), row.regime.value]
+        )
+    if no_permissions:
+        writer.writerow(["no-permissions", no_permissions, "", ""])
+    return out.getvalue()
 
 
 def nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:
