@@ -9,7 +9,7 @@ prints its help on stderr and exits 2), 3 for an internal error: an
 invariant breach, or an exception no command handles, such as a failed
 write to stdout. Every error is one `error: ...` line on stderr, never a
 traceback. All output is a deterministic function of (input bytes, flags,
-seed).
+seed) and the Unicode tables _shown reads through str.isprintable.
 
 A command runs with the cyclic garbage collector off. Its records are
 tuples, dicts and lists that form no reference cycle, so reference
@@ -44,7 +44,7 @@ from perimetric.ranking import (
     render_band_report_csv,
     render_band_report_json,
 )
-from perimetric.render import csv_text, format_fixed, fraction_str, json_block
+from perimetric.render import csv_field, format_fixed, fraction_str, json_block
 
 
 def _shown(text: str) -> str:
@@ -106,15 +106,15 @@ def _scan_records(snapshot: TenantSnapshot) -> list[tuple[PrincipalRisk, str | N
 
 
 def _render_scan_csv(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:
-    return csv_text(
-        ("spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"),
-        (
-            (r.spn, r.n, format_fixed(r.radius, SCALE), band or "-", format_fixed(r.length, SCALE),
-             format_fixed(*r.mean_parts), format_fixed(*r.spread_parts),
-             "true" if r.ultracycle is not None else "false")
-            for r, band in records
-        ),
-    )
+    """The header line, then one line per record; only the id and the band label go through csv_field."""
+    lines = ["spn,n,blast_radius,band,perimeter,mean_distance,spread_ratio,ultracycle\n"]
+    for r, band in records:
+        lines.append(
+            f"{csv_field(r.spn)},{r.n},{format_fixed(r.radius, SCALE)},{csv_field(band) if band else '-'},"
+            f"{format_fixed(r.length, SCALE)},{format_fixed(*r.mean_parts)},{format_fixed(*r.spread_parts)},"
+            f"{'false' if r.ultracycle is None else 'true'}\n"
+        )
+    return "".join(lines)
 
 
 def _render_scan_json(records: Sequence[tuple[PrincipalRisk, str | None]]) -> str:

@@ -26,7 +26,7 @@ from perimetric.errors import UnbandableRadius
 from perimetric.kernels import SCALE
 from perimetric.metric import HEIGHTS, AccessClass
 from perimetric.perimeter import PrincipalRisk
-from perimetric.render import csv_text, format_fixed, fraction_str, json_block, roman
+from perimetric.render import csv_field, format_fixed, fraction_str, json_block, roman
 
 # Bands at or above this radius are labeled Dispersed, the rest Tight.
 TIGHT_RADIUS_BOUND = Fraction(1, 10_000)
@@ -135,10 +135,14 @@ def band_report(
 
 
 def render_band_report_csv(rows: Sequence[BandReportRow], no_permissions: int = 0) -> str:
-    body = [(row.label, row.spn_count, format_fixed(row.avg_spread_ratio), row.regime.value) for row in rows]
+    """The header line, then one line per row; only the label goes through csv_field."""
+    lines = ["band,spn_count,avg_spread_ratio,regime\n"]
+    for row in rows:
+        fixed = format_fixed(row.avg_spread_ratio)
+        lines.append(f"{csv_field(row.label)},{row.spn_count},{fixed},{row.regime.value}\n")
     if no_permissions:
-        body.append(("no-permissions", no_permissions, "", ""))
-    return csv_text(("band", "spn_count", "avg_spread_ratio", "regime"), body)
+        lines.append(f"no-permissions,{no_permissions},,\n")
+    return "".join(lines)
 
 
 def render_band_report_json(rows: Sequence[BandReportRow], no_permissions: int = 0) -> str:

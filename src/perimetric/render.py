@@ -11,17 +11,18 @@ json.encoder.encode_basestring_ascii, the C function json.dumps calls,
 and json_block lays out a list's or an object's members as indent=2
 does. json.dumps itself runs its C encoder only when indent is None.
 
-csv_text is the one CSV writer: the scan and band-report tables both go
-through it, so they share one dialect.
+The scan and band-report CSV writers are templates too, one line per
+record ending in "\\n". csv_field quotes a text field that holds a comma,
+a double quote, "\\r" or "\\n", doubling each double quote; the figures
+never need it. The bytes are csv.writer's with lineterminator "\\r\\n",
+each line's last "\\r\\n" made "\\n", on every Python.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
 
 DIGITS = 6  # decimals in every fixed-point figure a report prints
 _ONE = 10**DIGITS  # one whole in units of the last printed decimal
@@ -71,17 +72,11 @@ def json_block(items: Iterable[str], depth: int, brackets: str = "[]") -> str:
     return f"{brackets[0]}{inner}{body}\n{'  ' * depth}{brackets[1]}"
 
 
-def csv_text(header: Sequence[object], rows: Iterable[Sequence[object]]) -> str:
-    """The header row, then every row, as csv.writer writes them with lines ending in "\\n".
-
-    A field is quoted only when it holds a comma, a double quote or a "\\n"
-    (Python 3.13 also quotes a "\\r", which 3.10 to 3.12.1 leave bare).
-    """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+def csv_field(text: str) -> str:
+    """text as one CSV field: quoted, each '"' doubled, if it holds ',', '"', "\\r" or "\\n"."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def roman(n: int) -> str:

@@ -506,15 +506,22 @@ def band_report_oracle(risks, anonymize: bool = False, seed: int = 0) -> list[Ba
     return rows
 
 
+def csv_row_oracle(fields) -> str:
+    """One row as csv.writer(lineterminator="\\r\\n") writes it, its final "\\r\\n" made "\\n".
+
+    With "\\r\\n" as the terminator, every Python from 3.10 quotes a field that
+    holds "\\r"; 3.10 raises csv.Error on a field that holds NUL.
+    """
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2] + "\n"
+
+
 def render_scan_csv_oracle(records) -> str:
     """Oracle for cli._render_scan_csv: one csv.writer row per record."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"]
-    )
+    rows = [["spn", "n", "blast_radius", "band", "perimeter", "mean_distance", "spread_ratio", "ultracycle"]]
     for r, band in records:
-        writer.writerow(
+        rows.append(
             [
                 r.spn,
                 r.n,
@@ -526,21 +533,17 @@ def render_scan_csv_oracle(records) -> str:
                 "true" if r.ultracycle is not None else "false",
             ]
         )
-    return out.getvalue()
+    return "".join(map(csv_row_oracle, rows))
 
 
 def render_band_report_csv_oracle(rows, no_permissions: int = 0) -> str:
     """Oracle for ranking.render_band_report_csv: one csv.writer row per band row."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["band", "spn_count", "avg_spread_ratio", "regime"])
+    table = [["band", "spn_count", "avg_spread_ratio", "regime"]]
     for row in rows:
-        writer.writerow(
-            [row.label, row.spn_count, format_fixed(row.avg_spread_ratio), row.regime.value]
-        )
+        table.append([row.label, row.spn_count, format_fixed(row.avg_spread_ratio), row.regime.value])
     if no_permissions:
-        writer.writerow(["no-permissions", no_permissions, "", ""])
-    return out.getvalue()
+        table.append(["no-permissions", no_permissions, "", ""])
+    return "".join(map(csv_row_oracle, table))
 
 
 def nested_group_chains(seed: int, chains: int = 3, depth: int = 5) -> str:

@@ -119,6 +119,18 @@ def test_scan_csv_prints_ids_verbatim_on_a_pipe():
     assert sorted(printed) == sorted(spns)
 
 
+def test_scan_csv_quotes_ids_by_one_rule_on_every_python():
+    # "\r" is quoted and NUL written bare on every interpreter, though csv.writer leaves
+    # "\r" bare before Python 3.13 and raises on NUL under 3.10
+    spns = ["a\0b", "c\rd", "e\r\nf", 'g"h', "i,j"]
+    result = _run_cli(["scan", "-"], input=_snapshot_text(spns=spns).encode("utf-8"), capture_output=True)
+    assert result.returncode == 0, result.stderr
+    figures = b",0,0.000000,-,0.000000,0.000000,1.000000,false\n"
+    assert result.stdout == b"spn,n,blast_radius,band,perimeter,mean_distance,spread_ratio,ultracycle\n" + (
+        b"a\0b" + figures + b'"c\rd"' + figures + b'"e\r\nf"' + figures + b'"g""h"' + figures + b'"i,j"' + figures
+    )
+
+
 def test_scan_zero_grant_spn_has_no_band():
     result = invoke(["scan", "-"], input=_snapshot_text(spns=["svc-idle"]))
     assert "svc-idle,0,0.000000,-,0.000000,0.000000,1.000000,false" in result.output
