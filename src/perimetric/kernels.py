@@ -4,8 +4,8 @@ These run on a flat row-major matrix and serve the inputs that have no
 closed form and the test oracles. build_matrix calls a distance once per
 pair; check_ultrametricity skips it for a DistanceModel (raw-tree and
 family-infimum distances), which fills an integer matrix itself
-(DistanceModel.matrix), or needs none for a set of one access class
-whose alternates leave its scopes' root paths alone. Every matrix a
+(DistanceModel.matrix), or needs none for a set whose scopes' root paths
+no alternate moves and that raw_violates finds clean. Every matrix a
 kernel sees holds plain integers in units of 2**-21 (SCALE), the grid
 every distance of a tenant lies on: try_scale turns int and Fraction
 distances into those integers and rejects any value off the grid.

@@ -228,18 +228,15 @@ def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, Tenan
     return levels
 
 
-def _one_tree_one_class(points: Sequence[Grant], model: DistanceModel) -> bool:
-    """Whether `points` hold one access class and every alternate gives their scopes their native root paths.
+def _unmoved(points: Sequence[Grant], model: DistanceModel) -> bool:
+    """Whether every alternate gives the scopes of `points` their native root paths.
 
-    Then each pair's LCA is one node in every tree, the infimum reads it at its deepest level
-    across the trees, and those levels still rise strictly down every path, so with one weight
-    the distance is ultrametric. Unknown scopes raise UnknownNode as in matrix(), once there
-    are two distinct points.
+    Then each pair's LCA is one node, at one canonical level, in every tree, so the infimum
+    is the native raw distance, which raw_violates decides. A set of fewer than two distinct
+    points holds; otherwise unknown scopes raise UnknownNode as in matrix().
     """
     if len(set(points)) < 2:
         return True
-    if len({g.access for g in points}) > 1:
-        return False
     (name, native), *alternates = _members(model.hierarchy)
     path: dict[str, str | None] = {}  # node on a scope's native root path -> its parent
     for scope in dict.fromkeys(g.scope for g in points):
@@ -381,9 +378,12 @@ def raw_violates(grants: Sequence[Grant], tree: TenantTree) -> bool:
     root path, they do exactly where a write w raises the closure's merge of two reads: w
     and a read j under one child of a node, a read k elsewhere at it, so
     d(w, k) > max(d(w, j), d(j, k)).
-    That is when the reads' pair sum under the full closure exceeds that under their own.
+    That is when the reads' pair sum under the full closure exceeds that under their own. A set
+    of one access class has no write to raise a read pair, so it returns False at once.
     """
     reads = [g for g in grants if g.access is AccessClass.READ]
+    if not reads or len(reads) == len(grants):
+        return False
     raised = EffectiveDistance(grants, tree).geometry(reads)[3]
     return raised > EffectiveDistance(reads, tree).geometry(reads)[3]
 
@@ -403,25 +403,25 @@ def check_ultrametricity(
     result means the distance is ultrametric on this point set.
 
     The path is chosen by the type of dist. A DistanceModel (one tree, or a
-    family's infimum) is never called per pair. A set of one access class
-    whose alternates all give its scopes their native root paths is clean
-    and builds no matrix (see _one_tree_one_class): 10,000 such reads over
-    three trees take a few hundredths of a second. Any other set fills an
-    integer matrix (DistanceModel.matrix) for the triple scan. Any other
-    callable is called once per pair (kernels.build_matrix), and
-    kernels.try_scale turns that matrix into integers in units of 2**-21
-    (ValueError for a distance off that grid); this is the oracle the
-    integer path is tested against. Either way the scan compares
-    integers. The matrix holds n * n cells, and a scan that
+    family's infimum) is never called per pair. On a set whose scopes no
+    alternate moves off their native root paths (see _unmoved) it is the
+    native raw distance, so a set raw_violates finds clean builds no matrix:
+    2,000 such read and write grants take a few thousandths of a second.
+    Any other set fills an integer matrix (DistanceModel.matrix) for the
+    triple scan. Any other callable is called once per pair
+    (kernels.build_matrix), and kernels.try_scale turns that matrix into
+    integers in units of 2**-21 (ValueError for a distance off that grid);
+    this is the oracle the integer path is tested against. Either way the
+    scan compares integers. The matrix holds n * n cells, and a scan that
     stops short of `limit` ANDs two n-bit rows for every pair: about 2 s
-    for 2000 points, so keep the sets that reach it at or below about
-    2000 points.
+    for 2000 points, so keep the sets that reach it (moved by an alternate,
+    or dirty on the native tree) at or below about 2000 points.
     """
     n = len(points)
     if n < 3:
         return []
     if isinstance(dist, DistanceModel):
-        if _one_tree_one_class(points, dist):
+        if _unmoved(points, dist) and not raw_violates(points, _members(dist.hierarchy)[0][1]):
             return []
         flat = dist.matrix(points)
     else:

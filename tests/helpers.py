@@ -45,7 +45,7 @@ from perimetric.ingestion import (
     _check_groups_acyclic,
     serialize_snapshot,
 )
-from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass, DistanceModel, EffectiveDistance, Grant
+from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass, EffectiveDistance, Grant
 from perimetric.perimeter import PrincipalRisk, sorted_grants, spread_ratio
 from perimetric.ranking import BandReportRow, Regime, band_of, enumerate_bands, regime_for
 from perimetric.render import format_fixed, fraction_str, roman
@@ -164,17 +164,6 @@ def random_grants(rng: random.Random, tree: TenantTree, n: int) -> list[Grant]:
         )
         for i in range(n)
     ]
-
-
-def random_instance(
-    rng: random.Random,
-    n_lo: int = 3,
-    n_hi: int = 8,
-    max_nodes: int = 40,
-) -> tuple[list[Grant], DistanceModel]:
-    tree = random_tree(rng, max_nodes=max_nodes)
-    grants = random_grants(rng, tree, rng.randint(n_lo, n_hi))
-    return grants, DistanceModel(tree)
 
 
 def scan_effective_grants(spn: str, snapshot: TenantSnapshot) -> frozenset[Grant]:

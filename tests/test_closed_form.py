@@ -377,17 +377,27 @@ def test_distance_model_check_matches_the_cubic_scan_of_the_matrix(data):
         grants = [grant._replace(access=access) for grant in grants]
     dist = DistanceModel(family)
     flat, n = dist.matrix(grants), len(grants)
+
+    def root_path(tree, node):
+        return [node, *root_path(tree, tree.parent[node])] if node is not None else []
+
+    # no matrix exactly when no alternate moves a scope's root path and the native tree is clean
+    unmoved = all(
+        root_path(tree, grant.scope) == root_path(family.native, grant.scope)
+        for _, tree in family.alternates for grant in grants
+    )
+    native_clean = triple_violations_cubic(DistanceModel(family.native).matrix(grants), n, 1) == []
+    no_matrix = n < 3 or len(set(grants)) < 2 or (unmoved and native_clean)
     for cap in (1, 7, 100):
         oracle = triple_violations_cubic(flat, n, cap)
         with patch.object(DistanceModel, "matrix", autospec=True, side_effect=DistanceModel.matrix) as matrix:
             assert check_ultrametricity(grants, dist, limit=cap) == oracle
-        if not matrix.called:  # decided with no matrix: a clean set of one access class
-            assert oracle == [] and (n < 3 or len({grant.access for grant in grants}) == 1)
+        assert matrix.called != no_matrix
 
 
 def test_clean_2000_grant_principal_builds_no_matrix():
-    # three subscriptions of 10 x 10 resources; every grant sits in sub0, and the
-    # alternates carry sub1 under another management group, so both agree on sub0
+    # three subscriptions of 10 x 10 resources; the grants sit in sub0 (and sub2), and the
+    # alternates carry sub1 under another management group, so all agree on sub0 and sub2
     nodes = [HierarchyNode("root", NodeKind.TENANT_ROOT)]
     nodes += [HierarchyNode(f"mg{m}", NodeKind.MANAGEMENT_GROUP, "root") for m in range(3)]
     for s in range(3):
@@ -410,7 +420,14 @@ def test_clean_2000_grant_principal_builds_no_matrix():
     with patch.object(DistanceModel, "matrix", autospec=True) as matrix:
         assert check_ultrametricity(sorted_grants(grants), dist) == []
     assert not matrix.called
-    # a write among them, or alternates that move sub0 itself, send the set to the matrix
+    # reads in sub0 and writes in sub2, neither moved, are clean on the native tree: still no matrix
+    mixed = [Grant(f"a{i:02d}", READ, scope) for i in range(10) for scope in scopes][:1000]
+    mixed += [Grant(f"a{i:02d}", WRITE, scope.replace("0", "2", 1)) for i in range(10) for scope in scopes][:1000]
+    assert len(set(mixed)) == 2000
+    with patch.object(DistanceModel, "matrix", autospec=True) as matrix:
+        assert check_ultrametricity(sorted_grants(mixed), dist) == []
+    assert not matrix.called
+    # a write among the reads, or alternates that move sub0 itself, send the set to the matrix
     dirty = [*grants[:40], Grant("w", WRITE, "res0.0.0")]
     assert check_ultrametricity(dirty, dist, limit=1) == triple_violations_cubic(dist.matrix(dirty), len(dirty), 1) != []
     moved = DistanceModel(HierarchyFamily(native, moving("sub0")))

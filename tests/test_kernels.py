@@ -45,8 +45,8 @@ def test_callers_look_kernels_up_by_module_attribute(monkeypatch):
 
 
 def test_distance_model_scan_calls_only_the_triple_scan(monkeypatch):
-    # a clean set is decided on its (scope, access) keys: no kernel and no matrix;
-    # a dirty one builds its integer matrix and calls only the triple scan
+    # a set no alternate moves is decided on the native tree by raw_violates when it is clean
+    # there: no kernel and no matrix; a dirty one builds its integer matrix and calls only the triple scan
     seen = _record_calls(monkeypatch, ("build_matrix", "try_scale", "nn_tour_flat", "violations_flat"))
     matrix = DistanceModel.matrix
     monkeypatch.setattr(DistanceModel, "matrix", lambda self, points: seen.append("matrix") or matrix(self, points))
@@ -54,6 +54,10 @@ def test_distance_model_scan_calls_only_the_triple_scan(monkeypatch):
     dist = DistanceModel(HierarchyFamily(tree, (("copy", tree),)))
     reads = [Grant(a, AccessClass.READ, scope) for a, scope in (("x", "lvl09"), ("y", "lvl10"), ("z", "lvl03"))]
     assert check_ultrametricity(reads, dist) == []
+    assert seen == []
+    # a write above two reads raises no read pair's merge
+    clean = [Grant("w", AccessClass.WRITE, "lvl03"), *reads[:2]]
+    assert check_ultrametricity(clean, dist) == []
     assert seen == []
     # a write under a read, and a read higher up: the write pair is the longest side
     mixed = [reads[0], Grant("y", AccessClass.WRITE, "lvl10"), reads[2]]

@@ -6,7 +6,8 @@ cache is written. `__init__.py` imports names only to export them, and
 `from __future__` imports are compiler switches, so both are skipped.
 A module-level private name (`_x`: a function, a class or an assignment)
 is there for its own module only, so one that module never reads is a
-helper a change left behind.
+helper a change left behind. So is a public function of tests/helpers.py
+that neither a test module nor helpers.py itself reads.
 """
 
 import ast
@@ -47,6 +48,22 @@ def unread_private_names(source: str) -> list[str]:
     return sorted(name for name in defined - read if name.startswith("_") and not name.startswith("__"))
 
 
+def unread_public_functions(source: str, readers: list[str]) -> list[str]:
+    """Module-level public functions of `source` that neither it nor any of `readers` reads."""
+    defined = {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+    read = {
+        node.id
+        for text in (source, *readers)
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(defined - read)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -55,6 +72,11 @@ def test_every_import_is_used(path):
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_private_name_is_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_public_helper_is_read():
+    readers = [path.read_text(encoding="utf-8") for path in sorted(TESTS.rglob("test_*.py"))]
+    assert unread_public_functions((TESTS / "helpers.py").read_text(encoding="utf-8"), readers) == []
 
 
 def test_the_check_finds_a_name_left_behind():
@@ -85,3 +107,21 @@ def test_the_check_finds_a_private_helper_left_behind():
         "    return _helper()\n"
     )
     assert unread_private_names(source) == ["_LEFT", "_PAIR", "_Unused", "_typed"]
+
+
+def test_the_check_finds_a_public_helper_left_behind():
+    source = (
+        "def kept():\n"
+        "    return inner()\n"
+        "def inner():\n"
+        "    return 1\n"
+        "def left(x):\n"
+        "    return x\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Record:\n"
+        "    def method(self):\n"
+        "        pass\n"
+    )
+    reader = "from helpers import kept, left\nkept()\ndef left():\n    pass\n"
+    assert unread_public_functions(source, [reader]) == ["left"]
