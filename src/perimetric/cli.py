@@ -36,7 +36,7 @@ from perimetric.ingestion import (
 )
 from perimetric.kernels import SCALE
 from perimetric.metric import DistanceModel, check_ultrametricity, effective_distance, raw_violates
-from perimetric.perimeter import PrincipalRisk, assess_principal, nn_tour, sorted_grants
+from perimetric.perimeter import PrincipalRisk, assess_principal, sorted_grants
 from perimetric.ranking import (
     band_of,
     band_report,
@@ -259,9 +259,9 @@ def generate(args: argparse.Namespace) -> None:
 def explain(args: argparse.Namespace) -> None:
     """Per-SPN breakdown: grants, tour edges, radius, perimeter, ratios.
 
-    The tour is read off the full distance matrix of the SPN's grants, so
-    time and memory grow as the square of the grant count: about 2 s and
-    90 MB at 1,000 grants. scan gives the same figures without the tour.
+    The nearest-neighbor tour from the first grant is read off the closure's
+    dendrogram, with one distance per printed edge. scan gives the same
+    figures without the tour.
     """
     spn = args.spn
     parsed = _load(args.snapshot)
@@ -282,9 +282,9 @@ def explain(args: argparse.Namespace) -> None:
     elif risk.n == 1:
         print("tour: single grant, length 0")
     else:
-        tour = nn_tour(grants, dist, start=0)
+        order = dist.tour(grants)
         print("tour (nearest-neighbor from index 0):")
-        for a, b in zip(tour.order, tour.order[1:]):
+        for a, b in zip(order, order[1:]):
             ga, gb = grants[a], grants[b]
             print(
                 f"  [{a}] {_shown(ga.action)} @ {_shown(ga.scope)}"

@@ -1,11 +1,14 @@
 """Distance-matrix kernels: nearest-neighbor tour, exhaustive tour, triple scan.
 
 These run on a flat row-major matrix and serve the inputs that have no
-closed form and the test oracles. build_matrix calls a distance once per
-pair; check_ultrametricity skips it for a DistanceModel (raw-tree and
-family-infimum distances), which fills an integer matrix itself
-(DistanceModel.matrix), or needs none for a set whose scopes' root paths
-no alternate moves and that raw_violates finds clean. Every matrix a
+closed form and the test oracles: the matrix tour is the oracle the
+closure's closed forms (EffectiveDistance.geometry and .tour) are tested
+against, and no command calls build_matrix, try_scale or nn_tour_flat.
+build_matrix calls a distance once per pair; check_ultrametricity skips
+it for a DistanceModel (raw-tree and family-infimum distances), which
+fills an integer matrix itself (DistanceModel.matrix), or needs none for
+a set whose scopes' root paths no alternate moves and that raw_violates
+finds clean. Every matrix a
 kernel sees holds plain integers in units of 2**-21 (SCALE), the grid
 every distance of a tenant lies on: try_scale turns int and Fraction
 distances into those integers and rejects any value off the grid.

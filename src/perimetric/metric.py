@@ -365,6 +365,34 @@ class EffectiveDistance:
                 up[k + 2] += size * size
         return 0, 0, 0, 0
 
+    def tour(self, grants: Sequence[Grant]) -> tuple[int, ...]:
+        """nn_tour(grants, self).order, the start repeated at the end, with no distance computed.
+
+        On an ultrametric the greedy tour from index 0 enters every cluster at its lowest
+        index and visits the cluster's children in the order of their lowest indices. At
+        a node, the blocks are its child subtrees and its distinct grants; the clean ones
+        (a subtree outside the dirty set, a read) form one cluster below the write merge.
+        So each index sorts on, per node from the root down: the clean blocks' lowest index
+        if its block is clean, else its block's own; then its block's own. Equal grants
+        share a block and stay in index order. `grants` must be drawn from the closure's
+        own set; the first unknown scope, in order, raises UnknownNode.
+        """
+        parent_of, dirty = self._tree.parent, self._dirty
+        lowest: dict[tuple[str, object], int] = {}  # (node, block) -> the block's lowest index
+        clean_lowest: dict[str, int] = {}  # node -> the lowest index of its clean blocks
+        keys = []
+        for i, grant in enumerate(grants):  # in index order, a lowest index is final once set
+            if grant.scope not in parent_of:
+                raise _unknown(grant.scope, None)
+            key, node, block, clean = [], grant.scope, grant, grant.access is AccessClass.READ
+            while node is not None:
+                own = lowest.setdefault((node, block), i)
+                key.append((clean_lowest.setdefault(node, i) if clean else own, own))
+                node, block, clean = parent_of[node], node, node not in dirty
+            keys.append(key[::-1])
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return (*order, *order[:1])
+
 
 def effective_distance(grants: Iterable[Grant], tree: TenantTree) -> EffectiveDistance:
     """The per-set ultrametric the analytics pipeline runs on."""

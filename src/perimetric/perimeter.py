@@ -5,13 +5,15 @@ all grants. Over the closure, EffectiveDistance.geometry folds every
 figure off the dendrogram in one integer pass, with no distance matrix:
 a minimal tour crosses the top merge once per block and every other
 merge one time fewer than it has blocks. The grant set may come in any
-order. Any other distance callable goes through the pairwise matrix over
-the sorted grants (the only path that sorts) and the greedy
+order, and EffectiveDistance.tour reads the greedy tour's order off the
+same dendrogram. Any other distance callable goes through the pairwise
+matrix over the sorted grants (the only path that sorts) and the greedy
 nearest-neighbor tour, which attains the minimum on ultrametric
-distances; that path, and the exhaustive oracle, are what the tests
-check the closed form against. That matrix holds integers in units of
-2**-21 (kernels.try_scale), as the closed form does, and a distance off
-that grid raises ValueError. Lengths stay integers in those units inside;
+distances; that matrix tour and the exhaustive one are the oracles the
+tests check the closure against, and no command takes that path. That
+matrix holds integers in units of 2**-21 (kernels.try_scale), as the
+closed form does, and a distance off that grid raises ValueError.
+Lengths stay integers in those units inside;
 PrincipalRisk's properties and Tour.length are exact Fractions built from
 them. A PrincipalRisk, like a Tour, is a tuple of its fields. The grants
 it is folded from are the snapshot index's shared Grant objects, whose

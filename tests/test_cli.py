@@ -666,8 +666,8 @@ def test_explain_dispersed_shows_cluster_then_jump():
 )
 def test_stdout_does_not_depend_on_the_hash_seed(command, monkeypatch):
     # the closed form reads each grant set in set order, which the hash seed decides;
-    # explain also runs the tour kernel and the closure's per-pair distances, and
-    # check-family the family's infimum matrix (it exits 1: both snapshots are dirty)
+    # explain also sorts its tour off the closure's blocks and calls the closure once
+    # per edge, and check-family the family's infimum matrix (it exits 1: both snapshots are dirty)
     verb, *rest = command.split()
     if verb == "check-family":  # its golden command lines name the snapshot from the repository root
         golden_file, args, code = "golden_check_family.json", [verb, *rest], 1
@@ -679,3 +679,22 @@ def test_stdout_does_not_depend_on_the_hash_seed(command, monkeypatch):
         result = _run_cli(args, capture_output=True, cwd=ROOT)
         assert result.returncode == code, result.stderr
         assert result.stdout == golden.encode("utf-8"), seed
+
+
+def test_no_command_reaches_the_per_pair_matrix_kernels(monkeypatch):
+    # the per-pair matrix, its scaling and the matrix tour are the oracles' path; every
+    # command reads its figures off the closure or the integer matrix, and prints its golden bytes
+    def refuse(*_, **__):
+        raise AssertionError("a command reached a per-pair matrix kernel")
+
+    for name in ("build_matrix", "try_scale", "nn_tour_flat"):
+        monkeypatch.setattr(f"perimetric.kernels.{name}", refuse)
+    for golden_file in ("golden_stdout.json", "golden_check_family.json"):
+        for command, stdout in json.loads((FIXTURES / golden_file).read_text(encoding="utf-8")).items():
+            verb, *rest = command.split()
+            if verb == "check-family":
+                args, code = [verb, str(ROOT / rest[0])], 1
+            else:
+                args, code = [verb, str(FIXTURES / "golden_tenant.json"), *rest], 0
+            result = invoke(args)
+            assert (result.exit_code, result.stdout) == (code, stdout), command

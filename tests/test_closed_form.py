@@ -13,7 +13,8 @@ EffectiveDistance.geometry is checked against the merge list of the walk to
 the tree root it replaced, on the closure's whole set and on subsets of it,
 where assess_principal's closed form also meets the matrix path and the
 exhaustive tour; the closed form is also checked against reorderings of its
-input.
+input. EffectiveDistance.tour is checked against the nearest-neighbor tour
+it replaces, and its edges against the closed form's length.
 """
 
 import random
@@ -61,6 +62,8 @@ from helpers import (
     fraction_rank,
     merges_geometry,
     merges_oracle,
+    random_grants,
+    random_tree,
     triple_violations_cubic,
 )
 
@@ -570,6 +573,37 @@ def test_geometry_matches_the_walk_to_the_root(instance, data):
                 fold(seq)
             messages.append(str(caught.value))
         assert messages[0] == messages[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_tour_is_the_nearest_neighbor_tour(seed, data):
+    rng = random.Random(seed)
+    tree = random_tree(rng)
+    grants = random_grants(rng, tree, rng.randint(1, 12))
+    top = reduce(partial(lca, tree), (g.scope for g in grants))
+    # the closure's whole set read-only, write-only, mixed, and mixed with a write at the grants' LCA
+    for whole in (
+        [g._replace(access=READ) for g in grants],
+        [g._replace(access=WRITE) for g in grants],
+        grants,
+        [*grants, Grant("w", WRITE, top)],
+    ):
+        dist = effective_distance(whole, tree)
+        proper = rng.sample(whole, rng.randint(1, len(whole) - 1)) if len(whole) > 1 else []
+        repeated = data.draw(st.lists(st.sampled_from(whole), min_size=1, max_size=16))
+        for seq in (whole, proper, repeated):
+            if not seq:
+                continue
+            order = dist.tour(seq)
+            assert order == nn_tour(seq, dist).order
+            # equal grants are visited in index order
+            visits: dict[Grant, list[int]] = {}
+            for index in order[:-1]:
+                visits.setdefault(seq[index], []).append(index)
+            assert all(indices == sorted(indices) for indices in visits.values())
+            length = sum(dist(seq[a], seq[b]) for a, b in zip(order, order[1:]))
+            assert length == Fraction(dist.geometry(seq)[2], kernels.SCALE)
 
 
 def test_a_subset_keeps_the_writes_of_the_whole_set():
