@@ -30,8 +30,8 @@ ROOT = FIXTURES.parent.parent
 COUNTEREXAMPLE = FIXTURES / "counterexample_family.json"
 
 
-def _run_cli(args, unbuffered=False, python_flags=(), **kwargs):
-    """Run the CLI in a fresh interpreter, on this checkout's sources.
+def _cli_env(unbuffered=False):
+    """The environment of a fresh interpreter that imports this checkout's sources.
 
     Stdout is block-buffered, as from a shell, unless `unbuffered` is set.
     """
@@ -40,8 +40,13 @@ def _run_cli(args, unbuffered=False, python_flags=(), **kwargs):
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def _run_cli(args, unbuffered=False, python_flags=(), **kwargs):
+    """Run `python -m perimetric.cli ARGS` in a fresh interpreter, on this checkout's sources."""
     return subprocess.run(
-        [sys.executable, *python_flags, "-m", "perimetric.cli", *args], env=env, timeout=60, **kwargs
+        [sys.executable, *python_flags, "-m", "perimetric.cli", *args], env=_cli_env(unbuffered), timeout=60, **kwargs
     )
 
 
@@ -276,7 +281,7 @@ def test_main_runs_without_the_collector_and_restores_its_state(args, code, coll
     seen = []
     load = perimetric.cli._load
     monkeypatch.setattr("perimetric.cli._load", lambda path: seen.append(gc.isenabled()) or load(path))
-    was = gc.isenabled()
+    was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if collecting else gc.disable)()
     try:
         with redirect_stdout(_FullStdout() if code == 3 else io.StringIO()), redirect_stderr(io.StringIO()):
@@ -289,6 +294,37 @@ def test_main_runs_without_the_collector_and_restores_its_state(args, code, coll
     finally:
         (gc.enable if was else gc.disable)()
     assert seen == ([] if code == 2 else [False])
+    assert gc.get_freeze_count() == frozen  # only the program entry, main() with no arguments, freezes
+
+
+# main() as the console script calls it, and as `python -m perimetric.cli` runs the module
+_ENTRIES = {
+    "script": "from perimetric.cli import main; main()",
+    "module": "import runpy; runpy.run_module('perimetric.cli', run_name='__main__')",
+}
+
+
+@pytest.mark.parametrize("dev", [False, True], ids=["plain", "dev-mode"])
+@pytest.mark.parametrize("entry", sorted(_ENTRIES))
+@pytest.mark.parametrize(
+    "args, code",
+    [(["scan", str(FIXTURES / "golden_tenant.json")], 0), (["check-family", str(FIXTURES / "golden_family.json")], 1)],
+    ids=["scan", "check-family"],
+)
+def test_the_program_entry_freezes_the_collector(args, code, entry, dev):
+    # the freeze moves every tracked object into the permanent generation, which the collections
+    # at interpreter exit skip; development mode keeps them, so a file left open in a cycle is
+    # still reported, and in-process calls never freeze (test above)
+    program = (
+        f"import gc, sys\nsys.argv = ['perimetric', *{args!r}]\ntry:\n    {_ENTRIES[entry]}\n"
+        "finally:\n    sys.stderr.write(f'frozen {gc.get_freeze_count()}\\n')\n"
+    )
+    flags = ("-X", "dev") if dev else ()
+    result = subprocess.run([sys.executable, *flags, "-c", program], env=_cli_env(), capture_output=True, timeout=60)
+    word, count = result.stderr.decode().split()
+    assert (word, int(count) > 0) == ("frozen", not dev)
+    assert result.returncode == code
+    assert result.stdout.decode() == invoke(args).stdout
 
 
 @pytest.mark.parametrize("output", ["csv", "json"])

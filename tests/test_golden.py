@@ -16,12 +16,16 @@ carries a subscription under a management group, one moves a resource), a
 clean principal the carve-out touches, a principal of two grants (not
 checked) and two dirty ones whose printed ratios include 2, 4 and 8.
 
-Every command runs three ways: in process, as `python -X dev -W error -m
-perimetric.cli` on this checkout's sources, and through the installed
-`perimetric` console script, with no PYTHONPATH, when one is on PATH (CI
-installs the package and fails when it is not there). A fresh interpreter
-must exit as the command does, print the golden bytes and write nothing to
-stderr: -X dev -W error turns a leaked file handle or any warning into one.
+Every command runs in process and four ways in a fresh interpreter: as
+`python -m perimetric.cli` on this checkout's sources, plainly and with -X dev
+-W error, and through the installed `perimetric` console script, with no
+PYTHONPATH, plainly and with PYTHONDEVMODE=1 PYTHONWARNINGS=error, when one is
+on PATH (CI installs the package and fails when it is not there). A fresh
+interpreter must exit as the command does, print the golden bytes and write
+nothing to stderr. The plain runs are how the program is run, so they go
+through the collector freeze at exit; development mode with warnings as errors
+turns a leaked file handle or any warning, up to the interpreter's teardown,
+into one.
 """
 
 import json
@@ -81,13 +85,18 @@ def _golden(path=GOLDEN) -> dict[str, str]:
 def _runner(name: str) -> tuple[list[str], dict[str, str]]:
     """The command prefix and environment of a fresh-interpreter runner."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    if name == "script":
+    dev = name in ("module", "script-dev")  # the plain runners go through the exit freeze
+    if name.startswith("script"):
         script = shutil.which("perimetric")
         if script is None:
             pytest.skip("no perimetric console script on PATH")
-        return [script], env
-    module = [sys.executable, "-X", "dev", "-W", "error", "-m", "perimetric.cli"]
-    return module, {**env, "PYTHONPATH": str(ROOT / "src")}
+        prefix = [script]
+        if dev:
+            env = {**env, "PYTHONDEVMODE": "1", "PYTHONWARNINGS": "error"}  # -X dev -W error
+    else:
+        prefix = [sys.executable, *(["-X", "dev", "-W", "error"] if dev else []), "-m", "perimetric.cli"]
+        env = {**env, "PYTHONPATH": str(ROOT / "src")}
+    return prefix, env
 
 
 def test_every_command_is_pinned():
@@ -106,7 +115,7 @@ def test_check_family_stdout_matches_golden_bytes(command):
 
 
 @pytest.mark.parametrize("command", COMMANDS + FAMILY_COMMANDS)
-@pytest.mark.parametrize("runner", ["module", "script"])
+@pytest.mark.parametrize("runner", ["module", "module-plain", "script", "script-dev"])
 def test_a_fresh_interpreter_prints_the_golden_bytes(runner, command):
     prefix, env = _runner(runner)
     verb, *rest = command.split()
