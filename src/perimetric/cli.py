@@ -4,12 +4,13 @@ Commands: scan, bands, check-family, generate, explain. Snapshots are
 read from a path or standard input (`-`). Arguments are parsed with the
 standard library's argparse; the package has no runtime dependency. Exit
 codes are stable: 0 for success or a clean check, 1 when check-family
-finds violations, 2 for input and usage errors (a bare `perimetric`
-prints its help on stderr and exits 2), 3 for an internal error: an
-invariant breach, or an exception no command handles, such as a failed
-write to stdout. Every error is one `error: ...` line on stderr, never a
-traceback. All output is a deterministic function of (input bytes, flags,
-seed) and the Unicode tables _shown reads through str.isprintable.
+finds violations, 2 for an errors.InputError, an unusable snapshot,
+option or command line (a bare `perimetric` prints its help on stderr and
+exits 2), 3 for any other exception: an invariant breach, or a failure
+such as a write to a full stdout. Commands raise and only `main` reports,
+in one `error: ...` line on stderr, never a traceback. All output is a
+deterministic function of (input bytes, flags, seed) and the Unicode
+tables _shown reads through str.isprintable.
 
 A command runs with the cyclic garbage collector off. Its records are
 tuples, dicts and lists that form no reference cycle, so reference
@@ -68,32 +69,21 @@ def _fail(message: str, code: int) -> NoReturn:
     sys.exit(code)
 
 
-def _usage_error(message: str) -> NoReturn:
-    _fail(" ".join(message.split()), 2)
-
-
 def _read(path: str) -> bytes:
     """The bytes of the file at `path`, or of standard input for `-`.
 
-    A file that cannot be opened or read, or a closed standard input, is a
-    usage error that names it.
+    A file that cannot be opened or read, or a closed standard input, raises
+    a UsageError that names it.
     """
     try:
         if path == "-":
             if sys.stdin is None:  # None when descriptor 0 is closed
-                _usage_error("argument SNAPSHOT: can't read '-': standard input is closed")
+                raise errors.UsageError("argument SNAPSHOT: can't read '-': standard input is closed")
             return sys.stdin.buffer.read()
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
-        _usage_error(f"argument SNAPSHOT: can't read '{path}': {exc.strerror}")
-
-
-def _load(path: str) -> TenantSnapshot:
-    try:
-        return parse_snapshot(_read(path))  # no local holds the bytes while they are parsed
-    except errors.PerimetricError as exc:
-        _fail(str(exc), 2)
+        raise errors.UsageError(f"argument SNAPSHOT: can't read '{path}': {exc.strerror}") from None
 
 
 def _assess_snapshot(snapshot: TenantSnapshot) -> list[PrincipalRisk]:
@@ -181,7 +171,7 @@ def scan(args: argparse.Namespace) -> None:
     Distances are computed over the native hierarchy; use check-family to
     audit alternate-hierarchy infima before trusting them.
     """
-    records = _scan_records(_load(args.snapshot))
+    records = _scan_records(parse_snapshot(_read(args.snapshot)))
     print(_render_scan_csv(records) if args.format == "csv" else _render_scan_json(records), end="")
 
 
@@ -191,7 +181,7 @@ def bands(args: argparse.Namespace) -> None:
     The no-permissions row counts every SPN of radius 0: fewer than two
     distinct grants, so no grant at all or one with no pair to measure.
     """
-    risks = _assess_snapshot(_load(args.snapshot))
+    risks = _assess_snapshot(parse_snapshot(_read(args.snapshot)))
     rows = band_report(risks, anonymize=args.anonymize, seed=args.seed)
     no_permissions = sum(1 for r in risks if r.radius == 0)
     render = render_band_report_csv if args.format == "csv" else render_band_report_json
@@ -205,10 +195,10 @@ def check_family(args: argparse.Namespace) -> int:
     inequality, 0 when clean, 2 when the snapshot has no alternates.
     """
     if args.limit < 1:
-        _usage_error(f"argument --limit: {args.limit} is not at least 1")
-    parsed = _load(args.snapshot)
+        raise errors.UsageError(f"argument --limit: {args.limit} is not at least 1")
+    parsed = parse_snapshot(_read(args.snapshot))
     if not parsed.alternates:
-        _fail("snapshot declares no alternate hierarchies; nothing to check", 2)
+        raise errors.InputError("snapshot declares no alternate hierarchies; nothing to check")
     dist = DistanceModel(parsed.family())
     dirty = 0
     checked = 0
@@ -258,12 +248,9 @@ def generate(args: argparse.Namespace) -> None:
 
     from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 
-    try:  # each option's dest is the field it sets
-        config = GeneratorConfig(**{field.name: getattr(args, field.name) for field in fields(GeneratorConfig)})
-        snapshot = generate_synthetic_tenant(config)
-    except errors.PerimetricError as exc:
-        _fail(str(exc), 2)
-    print(serialize_snapshot(snapshot), end="")
+    # each option's dest is the field it sets
+    config = GeneratorConfig(**{field.name: getattr(args, field.name) for field in fields(GeneratorConfig)})
+    print(serialize_snapshot(generate_synthetic_tenant(config)), end="")
 
 
 def explain(args: argparse.Namespace) -> None:
@@ -274,11 +261,8 @@ def explain(args: argparse.Namespace) -> None:
     figures without the tour.
     """
     spn = args.spn
-    parsed = _load(args.snapshot)
-    try:
-        grants = sorted_grants(resolve_effective_grants(spn, parsed))
-    except errors.PerimetricError as exc:
-        _fail(str(exc), 2)
+    parsed = parse_snapshot(_read(args.snapshot))
+    grants = sorted_grants(resolve_effective_grants(spn, parsed))
     dist = effective_distance(grants, parsed.native_tree())
     risk = assess_principal(spn, grants, dist)
     band = band_of(risk.radius, SCALE)
@@ -316,7 +300,7 @@ def explain(args: argparse.Namespace) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """A parser, its subcommands' too, whose usage errors end in one `error:` line and exit 2.
+    """A parser, its subcommands' too, whose usage errors raise a UsageError.
 
     Options must be spelled in full: an abbreviation is an unknown option.
     """
@@ -325,7 +309,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str) -> NoReturn:
-        _usage_error(message)
+        raise errors.UsageError(message)
 
 
 def _parser() -> _Parser:
@@ -370,17 +354,17 @@ def _parser() -> _Parser:
 def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> None:
     """Run one command line: `args`, or sys.argv[1:] when None.
 
-    Returns when the command succeeds; otherwise exits with its code. An
-    exception no command handles exits 3: a PerimetricError is an invariant
-    breach (input errors exit 2 where a command meets them) and prints its
-    message, any other is named as unexpected. `standalone_mode` changes
-    nothing; it is kept for perfbench's in-process runs, which pass it.
-    The cyclic collector is off while the command runs and is turned back
-    on afterwards only if it was on before. With `args` None, the program
-    entry, every tracked object is first moved to the permanent generation
-    (gc.freeze) so the collections at interpreter exit skip them, unless
-    the interpreter runs in development mode; a library caller passes its
-    argument list and nothing is frozen.
+    Returns when the command succeeds; otherwise exits with its code. Commands
+    raise, and any error from building the parser to flushing stdout is one
+    `error:` line here: an errors.InputError exits 2, any other exception 3,
+    a PerimetricError (a bug) with its message, another named as unexpected.
+    `standalone_mode` changes nothing; it is kept for perfbench's in-process
+    runs, which pass it. The cyclic collector is off while the command runs
+    and is turned back on afterwards only if it was on before. With `args`
+    None, the program entry, every tracked object is first moved to the
+    permanent generation (gc.freeze) so the collections at interpreter exit
+    skip them, unless the interpreter runs in development mode; a library
+    caller passes its argument list and nothing is frozen.
     """
     # Safe because no record forms a cycle: reference counting frees each one as it
     # is dropped, and tests/test_cli.py checks that the cyclic garbage a scan leaves
@@ -394,14 +378,16 @@ def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> Non
         if parsed.command is None:
             parser.print_help(sys.stderr)
             sys.exit(2)
-        try:
-            code = parsed.run(parsed)
-            if sys.stdout is not None:  # None when descriptor 1 is closed; print then writes nothing
-                sys.stdout.flush()  # a failed write to a buffered stdout shows here, not at exit
-        except Exception as exc:
-            _release_stdout()
-            message = str(exc) if isinstance(exc, errors.PerimetricError) else f"unexpected {type(exc).__name__}: {exc}"
-            _fail(" ".join(message.split()), 3)
+        code = parsed.run(parsed)
+        if sys.stdout is not None:  # None when descriptor 1 is closed; print then writes nothing
+            sys.stdout.flush()  # a failed write to a buffered stdout shows here, not at exit
+    except errors.InputError as exc:
+        _fail(str(exc), 2)
+    except Exception as exc:
+        _release_stdout()
+        message = str(exc) if isinstance(exc, errors.PerimetricError) else f"unexpected {type(exc).__name__}: {exc}"
+        _fail(" ".join(message.split()), 3)
+    else:
         if code:
             sys.exit(code)
     finally:

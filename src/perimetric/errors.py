@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Everything raised on purpose derives from PerimetricError so callers (and
-the CLI) can distinguish input problems from genuine bugs.
+Everything raised on purpose derives from PerimetricError. An InputError is
+the user's mistake, and the CLI exits 2 on it; any other exception is a bug
+there and exits 3. The CLI's commands raise, and only its `main` reports.
 """
 
 
@@ -9,29 +10,40 @@ class PerimetricError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(PerimetricError):
+    """The user's mistake, such as a bad snapshot: the CLI exits 2 on it, where any other error exits 3."""
+
+
+class UsageError(InputError):
+    """A command line or argument the CLI cannot use, so exit 2; its message is put on one line."""
+
+    def __init__(self, message):
+        super().__init__(" ".join(message.split()))
+
+
 # -- hierarchy ---------------------------------------------------------------
 
-class MissingRoot(PerimetricError):
+class MissingRoot(InputError):
     """No tenant-root node in the input."""
 
 
-class MultipleRoots(PerimetricError):
+class MultipleRoots(InputError):
     """More than one tenant-root node."""
 
 
-class CycleDetected(PerimetricError):
+class CycleDetected(InputError):
     """Parent chain loops back on itself."""
 
 
-class UnknownParent(PerimetricError):
+class UnknownParent(InputError):
     """A node names a parent id that does not exist."""
 
 
-class IllegalParentKind(PerimetricError):
+class IllegalParentKind(InputError):
     """A node's parent has a kind the node may not attach to."""
 
 
-class MgDepthExceeded(PerimetricError):
+class MgDepthExceeded(InputError):
     """Management groups nested deeper than the 6-level limit."""
 
 
@@ -39,7 +51,7 @@ class UnknownNode(PerimetricError):
     """A node id is not present in the tree being queried."""
 
 
-class DuplicateId(PerimetricError):
+class DuplicateId(InputError):
     """The same identifier appears twice within one namespace."""
 
 
@@ -65,7 +77,7 @@ class UndefinedMean(PerimetricError):
 
 # -- ingestion ---------------------------------------------------------------
 
-class SnapshotSyntaxError(PerimetricError):
+class SnapshotSyntaxError(InputError):
     """Snapshot document is not well-formed."""
 
     def __init__(self, message, line=None, column=None):
@@ -76,21 +88,21 @@ class SnapshotSyntaxError(PerimetricError):
         self.column = column
 
 
-class UnknownReference(PerimetricError):
+class UnknownReference(InputError):
     """Snapshot refers to an id that is not declared anywhere."""
 
 
-class UnsupportedSchemaVersion(PerimetricError):
+class UnsupportedSchemaVersion(InputError):
     """Snapshot schema version this build does not understand."""
 
 
-class GroupCycle(PerimetricError):
+class GroupCycle(InputError):
     """Group membership graph contains a cycle."""
 
 
-class UnknownPrincipal(PerimetricError):
+class UnknownPrincipal(InputError):
     """Requested service principal is not declared in the snapshot."""
 
 
-class InvalidConfig(PerimetricError):
+class InvalidConfig(InputError):
     """Synthetic tenant generator configuration is unusable."""

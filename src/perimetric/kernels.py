@@ -8,13 +8,13 @@ build_matrix calls a distance once per pair; check_ultrametricity skips
 it for a DistanceModel (raw-tree and family-infimum distances), which
 fills an integer matrix itself (DistanceModel.matrix), or needs none for
 a set whose scopes' root paths no alternate moves and that raw_violates
-finds clean. Every matrix a
-kernel sees holds plain integers in units of 2**-21 (SCALE), the grid
-every distance of a tenant lies on: try_scale turns int and Fraction
-distances into those integers and rejects any value off the grid.
-Callers turn a result back into a Fraction over SCALE, so every result
-is exact. The nearest-neighbor tour takes each step with min() over the
-unvisited indices in ascending order, so a tie goes to the lowest index.
+finds clean. Every matrix a kernel sees holds plain integers in units of
+2**-21 (SCALE), the grid every distance of a tenant lies on: try_scale
+turns int and Fraction distances into those integers and rejects any
+value off the grid. Callers turn a result back into a Fraction over
+SCALE, so every result is exact. The nearest-neighbor tour takes each
+step with min() over the unvisited indices in ascending order, so a tie
+goes to the lowest index.
 """
 
 from __future__ import annotations

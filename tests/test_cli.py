@@ -279,8 +279,8 @@ class _FullStdout(io.StringIO):
 )
 def test_main_runs_without_the_collector_and_restores_its_state(args, code, collecting, monkeypatch):
     seen = []
-    load = perimetric.cli._load
-    monkeypatch.setattr("perimetric.cli._load", lambda path: seen.append(gc.isenabled()) or load(path))
+    parse = perimetric.cli.parse_snapshot
+    monkeypatch.setattr("perimetric.cli.parse_snapshot", lambda data: seen.append(gc.isenabled()) or parse(data))
     was, frozen = gc.isenabled(), gc.get_freeze_count()
     (gc.enable if collecting else gc.disable)()
     try:
@@ -377,6 +377,34 @@ def test_unexpected_error_exits_3_with_one_line(monkeypatch):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert result.stderr == "error: unexpected RuntimeError: first line second line\n"
+
+
+def test_a_failure_before_the_command_exits_3(monkeypatch):
+    def broken():
+        raise RuntimeError("no parser")
+
+    monkeypatch.setattr("perimetric.cli._parser", broken)
+    result = invoke(["scan", str(COUNTEREXAMPLE)])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "error: unexpected RuntimeError: no parser\n"
+
+
+_ERROR_CLASSES = sorted(
+    (cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.PerimetricError)),
+    key=lambda cls: cls.__name__,
+)
+
+
+@pytest.mark.parametrize("error", _ERROR_CLASSES, ids=[cls.__name__ for cls in _ERROR_CLASSES])
+def test_exit_code_follows_the_error_class(error, monkeypatch):
+    # the input's mistakes exit 2 and every other package error, an invariant breach, exits 3
+    def broken(data):
+        raise error(f"raised as {error.__name__}")
+
+    monkeypatch.setattr("perimetric.cli.parse_snapshot", broken)
+    result = invoke(["scan", str(COUNTEREXAMPLE)])
+    assert result.exit_code == (2 if issubclass(error, errors.InputError) else 3)
+    assert (result.stdout, result.stderr) == ("", f"error: raised as {error.__name__}\n")
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ checked against the Fraction arithmetic they replace, and the integer
 tour kernels, on tables of values on the 2**-21 grid, against Fraction loops.
 check_ultrametricity's bitset scan is checked against the plain cubic
 loop, DistanceModel's integer matrix against the Fraction matrix of
-per-pair calls, raw_violates against a full triple scan of the raw
+per-pair calls, the cells check-family prints from its matrix over the
+named grants against infimum_distance of each pair, raw_violates against a full triple scan of the raw
 distances, and infimum_distance against the minimum over the family.
 EffectiveDistance.geometry is checked against the merge list of the walk to
 the tree root it replaced, on the closure's whole set and on subsets of it,
@@ -17,13 +18,15 @@ input. EffectiveDistance.tour is checked against the nearest-neighbor tour
 it replaces, and its edges against the closed form's length.
 """
 
+import json
 import random
+import re
 from fractions import Fraction
 from functools import partial, reduce
 from unittest.mock import patch
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from perimetric import kernels
@@ -60,6 +63,7 @@ from helpers import (
     fraction_brute_force,
     fraction_nn_tour,
     fraction_rank,
+    invoke,
     merges_geometry,
     merges_oracle,
     random_grants,
@@ -341,6 +345,52 @@ def test_integer_path_matches_per_pair_calls(case):
         assert check_ultrametricity(grants, dist, limit=cap) == check_ultrametricity(
             grants, lambda a, b: dist(a, b), limit=cap
         )
+
+
+_PRINTED_TRIPLE = re.compile(
+    r"  d3\((\w+), (\w+)\) = ([\d/]+), d3\(\2, (\w+)\) = ([\d/]+), d3\(\1, \4\) = ([\d/]+) \(unit: ([\d/]+)\)"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_check_family_prints_the_infimum_distances_of_the_grants_it_names(data):
+    # check-family prints each cell from a matrix over the named grants; the reference is one
+    # infimum_distance call per pair, and each grant has its own action, so a line names its grants
+    native_nodes = data.draw(random_node_lists())
+    family = data.draw(families(native_nodes))
+    moves = [
+        {node: parent for node, parent in tree.parent.items() if parent != family.native.parent[node]}
+        for _, tree in family.alternates
+    ]
+    assume(any(moves))
+    drawn = data.draw(st.lists(
+        st.tuples(st.sampled_from(AccessClass), st.sampled_from(sorted(family.native.parent))), min_size=3, max_size=12
+    ))
+    by_action = {f"g{i:02d}": Grant(f"g{i:02d}", access, scope) for i, (access, scope) in enumerate(drawn)}
+    doc = {
+        "version": 1,
+        "hierarchy": [{"id": n.id, "kind": n.kind.value, **({"parent": n.parent} if n.parent else {})}
+                      for n in native_nodes],
+        "alternates": [{"name": name, "parents": moved} for (name, _), moved in zip(family.alternates, moves)],
+        "spns": ["svc"],
+        "assignments": [{"principal": "svc", "action": g.action, "access": g.access.value, "scope": g.scope}
+                        for g in by_action.values()],
+    }
+    result = invoke(["check-family", "-"], input=json.dumps(doc))
+    printed = [_PRINTED_TRIPLE.fullmatch(line) for line in result.stdout.splitlines() if line.startswith("  d3(")]
+    assert all(printed)
+    assert result.exit_code == (1 if printed else 0)
+    if printed:
+        assert f"spn svc: {len(printed)} violating triple(s)" in result.stdout
+    for match in printed:
+        i, j, d_ij, k, d_jk, d_ik, unit = match.groups()
+        a, b, c = by_action[i], by_action[j], by_action[k]
+        inf_ij, inf_jk, inf_ik = (infimum_distance(x, y, family) for x, y in ((a, b), (b, c), (a, c)))
+        least = min(inf_ij, inf_jk, inf_ik)
+        assert Fraction(unit) == least
+        assert (Fraction(d_ij), Fraction(d_jk), Fraction(d_ik)) == (inf_ij / least, inf_jk / least, inf_ik / least)
+        assert inf_ik > max(inf_ij, inf_jk)
 
 
 @pytest.mark.parametrize("hierarchy", ["tree", "family"])

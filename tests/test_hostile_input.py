@@ -3,8 +3,8 @@
 Each example starts from a valid snapshot, applies one to three byte or
 structure mutations and feeds the result on stdin to every command that
 reads a snapshot, in process. scan, bands and explain exit 0 or 2 and
-check-family 0, 1 or 2; exit 3 (an exception no command handles) is a
-failure, and so is any stderr other than one `error:` line.
+check-family 0, 1 or 2; exit 3 (an exception that is not an InputError)
+is a failure, and so is any stderr other than one `error:` line.
 """
 
 import json
