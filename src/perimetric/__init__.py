@@ -33,13 +33,8 @@ from perimetric.perimeter import (
     PrincipalRisk,
     Tour,
     assess_principal,
-    blast_radius,
     brute_force_tour,
-    is_ultracycle,
-    mean_distance,
     nn_tour,
-    perimeter,
-    spread_ratio,
 )
 from perimetric.ranking import (
     Band,
@@ -85,7 +80,6 @@ __all__ = [
     "assess_principal",
     "band_of",
     "band_report",
-    "blast_radius",
     "brute_force_tour",
     "build_tree",
     "check_ultrametricity",
@@ -94,16 +88,12 @@ __all__ = [
     "enumerate_bands",
     "generate_synthetic_tenant",
     "infimum_distance",
-    "is_ultracycle",
     "lca",
     "lca_level",
-    "mean_distance",
     "nn_tour",
     "pair_impact",
     "parse_snapshot",
-    "perimeter",
     "rank_spns",
     "resolve_effective_grants",
     "serialize_snapshot",
-    "spread_ratio",
 ]

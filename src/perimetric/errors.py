@@ -62,17 +62,14 @@ class UnbandableRadius(PerimetricError):
 
 
 # -- perimeter ---------------------------------------------------------------
+# the tour oracles raise these; a PrincipalRisk reads every figure without one
 
 class EmptyInput(PerimetricError):
-    """An operation that needs at least one grant received none."""
+    """A tour oracle got no grant, or a start index outside the grants."""
 
 
 class TooLarge(PerimetricError):
     """Instance too big for the exhaustive tour oracle."""
-
-
-class UndefinedMean(PerimetricError):
-    """Mean pairwise distance requested for fewer than two grants."""
 
 
 # -- ingestion ---------------------------------------------------------------

@@ -31,6 +31,9 @@ WRITE_ACTIONS = (
     "WriteFileShare", "WriteSecret", "WriteTableEntity", "WriteTopicMessage",
 )
 WRITE_FRACTION = 0.4  # chance that a drawn grant is a write
+# the most nodes, and the most SPNs, a config may ask for, checked before anything
+# is drawn; an SPN draws at most 9 assignments, so the cap bounds those too
+_MAX_COUNT = 1_000_000
 # (access string, action pool) of a read draw, then of a write draw, indexed by
 # "is a write": rows take the string from here, not from .value per row
 _DRAWS = ((AccessClass.READ.value, READ_ACTIONS), (AccessClass.WRITE.value, WRITE_ACTIONS))
@@ -39,6 +42,8 @@ _DRAWS = ((AccessClass.READ.value, READ_ACTIONS), (AccessClass.WRITE.value, WRIT
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Generator seed and counts; every field but the seed is a non-negative count.
+
+    A config whose tenant would have more than 1,000,000 nodes or SPNs raises InvalidConfig.
 
     The `generate` command has one option per field, whose dest is the field's name.
     """
@@ -69,6 +74,14 @@ class GeneratorConfig:
             raise InvalidConfig("tight and dispersed archetypes require resources to scope to")
         if self.dispersed_spns and self.subscriptions < 2:
             raise InvalidConfig("dispersed archetype requires at least two subscriptions")
+        nodes = 1 + self.management_groups + self.subscriptions * (
+            1 + self.resource_groups_per_subscription * (
+                1 + self.resources_per_resource_group * (1 + self.parts_per_resource)))
+        spns = self.tight_spns + self.dispersed_spns + self.mixed_spns
+        for what, count in (("nodes", nodes), ("SPNs", spns)):
+            if count > _MAX_COUNT:
+                shown = f"{count:,}" if count < 10**18 else "more than 10**18"
+                raise InvalidConfig(f"the tenant would have {shown} {what}, above the cap of {_MAX_COUNT:,}")
 
 
 def generate_synthetic_tenant(config: GeneratorConfig) -> TenantSnapshot:

@@ -1,5 +1,8 @@
 """Per-principal geometry: blast radius, tour perimeter, mean, spread ratio.
 
+assess_principal computes all of them at once into one PrincipalRisk, and
+that record's properties are the one way to read each figure.
+
 The data perimeter of a grant set is the minimal cyclic tour length over
 all grants. Over the closure, EffectiveDistance.geometry folds every
 figure off the dendrogram in one integer pass, with no distance matrix:
@@ -26,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from perimetric import kernels
-from perimetric.errors import EmptyInput, TooLarge, UndefinedMean
+from perimetric.errors import EmptyInput, TooLarge
 from perimetric.metric import EffectiveDistance, Grant, grant_sort_key
 
 BRUTE_FORCE_LIMIT = 9
@@ -106,14 +109,6 @@ def sorted_grants(grants: Iterable[Grant]) -> tuple[Grant, ...]:
         return tuple(sorted(items))
 
 
-def blast_radius(grants: Iterable[Grant], dist: DistFn) -> Fraction:
-    """Diameter of the grant set: the maximum pairwise distance.
-
-    Empty and singleton sets have radius 0.
-    """
-    return assess_principal("", grants, dist).blast_radius
-
-
 def nn_tour(grants: Sequence[Grant], dist: DistFn, start: int = 0) -> Tour:
     """Greedy nearest-neighbor cycle over an already-indexed grant sequence.
 
@@ -142,38 +137,6 @@ def brute_force_tour(grants: Sequence[Grant], dist: DistFn) -> Fraction:
         raise TooLarge(f"{n} grants exceed the exhaustive limit of {BRUTE_FORCE_LIMIT}")
     flat = kernels.try_scale(kernels.build_matrix(grants, dist))
     return Fraction(kernels.brute_force_flat(flat, n), kernels.SCALE)
-
-
-def perimeter(grants: Iterable[Grant], dist: DistFn) -> Fraction:
-    """Cyclic tour length over the grant set; 0 for n <= 1.
-
-    The minimal tour when `dist` is ultrametric, as an EffectiveDistance is;
-    on any other callable, the greedy tour's length, an upper bound on the minimum.
-    """
-    return assess_principal("", grants, dist).perimeter
-
-
-def mean_distance(grants: Iterable[Grant], dist: DistFn) -> Fraction:
-    """Average over unordered distinct pairs. Undefined below two grants."""
-    risk = assess_principal("", grants, dist)
-    if risk.n < 2:
-        raise UndefinedMean(f"mean distance needs two grants, got {risk.n}")
-    return risk.mean_distance
-
-
-def spread_ratio(n: int, perimeter_length: Fraction, mean: Fraction) -> Fraction:
-    """Perimeter over n times the mean; 1 by convention when that is undefined.
-
-    Point-like sets score exactly 1; genuinely spread sets score below 1.
-    """
-    if n >= 2 and mean > 0:
-        return Fraction(perimeter_length) / (n * Fraction(mean))
-    return Fraction(1)
-
-
-def is_ultracycle(grants: Iterable[Grant], dist: DistFn) -> Fraction | None:
-    """Common pairwise distance if all pairs are equal and positive, else None."""
-    return assess_principal("", grants, dist).ultracycle
 
 
 def assess_principal(spn: str, grants: Iterable[Grant], dist: DistFn) -> PrincipalRisk:

@@ -46,7 +46,7 @@ from perimetric.ingestion import (
     serialize_snapshot,
 )
 from perimetric.metric import READ_WEIGHT, WRITE_WEIGHT, AccessClass, EffectiveDistance, Grant
-from perimetric.perimeter import PrincipalRisk, sorted_grants, spread_ratio
+from perimetric.perimeter import PrincipalRisk, sorted_grants
 from perimetric.ranking import BandReportRow, Regime, band_of, enumerate_bands, regime_for
 from perimetric.render import format_fixed, fraction_str, roman
 
@@ -265,7 +265,8 @@ def fraction_assess(spn: str, grants, dist) -> FractionRisk:
         _, length = fraction_nn_tour(flat, n, 0)
         radius, mean = max(values), sum(values, Fraction(0)) / len(values)
     ultracycle = radius if radius > 0 and mean == radius else None
-    return FractionRisk(spn, n, radius, length, mean, spread_ratio(n, length, mean), ultracycle)
+    spread = length / (n * mean) if mean > 0 else Fraction(1)  # perimeter over n times the mean
+    return FractionRisk(spn, n, radius, length, mean, spread, ultracycle)
 
 
 def merges_oracle(dist: EffectiveDistance, grants) -> list[tuple[int, tuple[int, ...]]]:

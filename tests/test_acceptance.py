@@ -15,14 +15,7 @@ from pathlib import Path
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import resolve_effective_grants
 from perimetric.metric import DistanceModel, check_ultrametricity, effective_distance
-from perimetric.perimeter import (
-    assess_principal,
-    brute_force_tour,
-    is_ultracycle,
-    nn_tour,
-    perimeter,
-    sorted_grants,
-)
+from perimetric.perimeter import assess_principal, brute_force_tour, nn_tour, sorted_grants
 from perimetric.ranking import band_of, band_report, enumerate_bands
 from perimetric.render import format_fixed
 
@@ -96,12 +89,12 @@ def test_criterion_3_ultracycles():
     for band in enumerate_bands():
         for n in range(2, 9):
             grants = grants_at(scopes[band.level], n, band.access)
-            assert perimeter(grants, dist) == n * band.value
+            assert assess_principal("spn", grants, dist).perimeter == n * band.value
             checked += 1
 
     strict = 0
     for _, grants, dist in fuzz_corpus():
-        if is_ultracycle(grants, dist) is not None:
+        if assess_principal("spn", grants, dist).ultracycle is not None:
             continue
         d_min = min(dist(a, b) for a, b in combinations(grants, 2))
         assert brute_force_tour(grants, dist) > len(grants) * d_min

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 from fractions import Fraction
@@ -636,6 +637,34 @@ def test_generate_rejects_invalid_config():
     result = invoke(["generate", "--subscriptions", "0"])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: at least one subscription is required\n"
+
+
+def test_an_oversized_generate_exits_2_before_drawing():
+    # about 10**10 nodes: the config refuses them from its counts, so neither call allocates a tenant
+    message = "the tenant would have 11,010,100,004 nodes, above the cap of 1,000,000"
+    counts = {"subscriptions": 100_000, "resource_groups_per_subscription": 100,
+              "resources_per_resource_group": 100, "parts_per_resource": 10}
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        with pytest.raises(errors.InvalidConfig, match=f"^{message}$"):
+            GeneratorConfig(**counts)
+        result = invoke(["generate", "--subscriptions", "100000", "--resource-groups", "100",
+                         "--resources", "100", "--parts", "10"])
+        # a node count of about 16,000 digits, more than str() writes on 3.11 and later
+        huge = "1" + "0" * 4000
+        beyond = invoke(["generate", "--subscriptions", huge, "--resource-groups", huge, "--resources", huge,
+                         "--parts", huge])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+    assert (beyond.exit_code, beyond.stdout) == (2, "")
+    assert beyond.stderr == "error: the tenant would have more than 10**18 nodes, above the cap of 1,000,000\n"
+    assert peak < 2**20
 
 
 def test_each_generator_field_is_the_dest_of_one_generate_option():

@@ -18,7 +18,7 @@ from perimetric.errors import (
 from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
 from perimetric.ingestion import parse_snapshot, resolve_effective_grants, serialize_snapshot
 from perimetric.metric import AccessClass, DistanceModel, Grant, effective_distance
-from perimetric.perimeter import blast_radius, is_ultracycle
+from perimetric.perimeter import assess_principal
 
 
 def _doc(**overrides):
@@ -339,7 +339,7 @@ def test_generator_tight_spns_are_ultracycles():
     tree = snapshot.native_tree()
     for spn in snapshot.spns:
         grants = resolve_effective_grants(spn, snapshot)
-        assert is_ultracycle(grants, effective_distance(grants, tree)) is not None
+        assert assess_principal(spn, grants, effective_distance(grants, tree)).ultracycle is not None
 
 
 def test_generator_dispersed_spns_reach_across_subscriptions():
@@ -348,7 +348,7 @@ def test_generator_dispersed_spns_reach_across_subscriptions():
     for spn in snapshot.spns:
         grants = resolve_effective_grants(spn, snapshot)
         # cross-subscription LCA sits at level 6 or above: radius >= 1/2^13
-        assert blast_radius(grants, DistanceModel(tree)) >= Fraction(1, 2**13)
+        assert assess_principal(spn, grants, DistanceModel(tree)).blast_radius >= Fraction(1, 2**13)
 
 
 def test_generator_invalid_configs():

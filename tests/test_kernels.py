@@ -6,7 +6,7 @@ import pytest
 
 from perimetric import kernels
 from perimetric.metric import AccessClass, DistanceModel, Grant, HierarchyFamily, check_ultrametricity
-from perimetric.perimeter import brute_force_tour, nn_tour, perimeter
+from perimetric.perimeter import assess_principal, brute_force_tour, nn_tour
 
 from helpers import chain_tree
 
@@ -39,7 +39,7 @@ def test_callers_look_kernels_up_by_module_attribute(monkeypatch):
     seen = _record_calls(monkeypatch, ("build_matrix", "nn_tour_flat", "violations_flat"))
     table = {frozenset("pq"): Fraction(1, 8), frozenset("qr"): Fraction(1, 8), frozenset("pr"): Fraction(1, 2)}
     dist = lambda a, b: table[frozenset((a, b))]  # noqa: E731
-    assert perimeter(["p", "q", "r"], dist) == Fraction(3, 4)
+    assert assess_principal("spn", ["p", "q", "r"], dist).perimeter == Fraction(3, 4)
     assert check_ultrametricity(["p", "q", "r"], dist) == [(0, 1, 2)]
     assert seen == ["build_matrix", "nn_tour_flat", "build_matrix", "violations_flat"]
 

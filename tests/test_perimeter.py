@@ -3,22 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from perimetric.errors import EmptyInput, TooLarge, UndefinedMean
+from perimetric.errors import EmptyInput, TooLarge
 from perimetric.hierarchy import HierarchyNode, NodeKind, build_tree
 from perimetric.metric import AccessClass, DistanceModel, Grant, effective_distance
-from perimetric.perimeter import (
-    assess_principal,
-    blast_radius,
-    brute_force_tour,
-    is_ultracycle,
-    mean_distance,
-    nn_tour,
-    perimeter,
-    sorted_grants,
-    spread_ratio,
-)
+from perimetric.perimeter import assess_principal, brute_force_tour, nn_tour, sorted_grants
 
-from helpers import chain_tree, grants_at, random_grants, random_tree
+from helpers import chain_tree, fraction_assess, grants_at, random_grants, random_tree
 
 READ = AccessClass.READ
 WRITE = AccessClass.WRITE
@@ -58,8 +48,8 @@ def two_cluster_fixture():
 def test_blast_radius_empty_and_singleton():
     tree, scopes = chain_tree()
     dist = DistanceModel(tree)
-    assert blast_radius([], dist) == 0
-    assert blast_radius(grants_at(scopes[9], 1), dist) == 0
+    assert assess_principal("spn", [], dist).blast_radius == 0
+    assert assess_principal("spn", grants_at(scopes[9], 1), dist).blast_radius == 0
 
 
 def test_blast_radius_tenant_wide_writes():
@@ -69,7 +59,7 @@ def test_blast_radius_tenant_wide_writes():
         HierarchyNode("sub2", NodeKind.SUBSCRIPTION, "root"),
     ])
     grants = [Grant("WriteBlob", WRITE, "sub1"), Grant("WriteSecret", WRITE, "sub2")]
-    assert blast_radius(grants, DistanceModel(tree)) == 1
+    assert assess_principal("spn", grants, DistanceModel(tree)).blast_radius == 1
 
 
 def test_blast_radius_three_grant_mix():
@@ -88,7 +78,7 @@ def test_blast_radius_three_grant_mix():
         Grant("b", READ, "res2"),
         Grant("c", READ, "rg2"),
     ]
-    assert blast_radius(grants, DistanceModel(tree)) == Fraction(1, 2**15)
+    assert assess_principal("spn", grants, DistanceModel(tree)).blast_radius == Fraction(1, 2**15)
 
 
 def test_nn_tour_singleton():
@@ -171,16 +161,16 @@ def test_nn_matches_oracle_on_random_seven_grant_instance():
 def test_perimeter_degenerate_sizes():
     tree, scopes = chain_tree()
     dist = DistanceModel(tree)
-    assert perimeter([], dist) == 0
-    assert perimeter(grants_at(scopes[9], 1), dist) == 0
-    assert perimeter(grants_at(scopes[9], 2), dist) == 2 * Fraction(1, 2**19)
+    assert assess_principal("spn", [], dist).perimeter == 0
+    assert assess_principal("spn", grants_at(scopes[9], 1), dist).perimeter == 0
+    assert assess_principal("spn", grants_at(scopes[9], 2), dist).perimeter == 2 * Fraction(1, 2**19)
 
 
 def test_perimeter_of_ultracycle_is_n_xi():
     tree, scopes = chain_tree()
     for n in (2, 4, 7):
         grants = grants_at(scopes[8], n, WRITE)
-        assert perimeter(grants, DistanceModel(tree)) == n * Fraction(2, 2**17)
+        assert assess_principal("spn", grants, DistanceModel(tree)).perimeter == n * Fraction(2, 2**17)
 
 
 def test_perimeter_on_raw_distances_is_the_greedy_tour():
@@ -194,29 +184,16 @@ def test_perimeter_on_raw_distances_is_the_greedy_tour():
     grants = [Grant("a0", READ, "root"), Grant("a1", READ, "s1"), Grant("a2", WRITE, "s1"), Grant("a3", READ, "rg1")]
     dist = DistanceModel(tree)
     assert nn_tour(grants, dist).order == (0, 1, 3, 2, 0)
-    assert perimeter(grants, dist) == Fraction(49155, 32768)
+    assert assess_principal("spn", grants, dist).perimeter == Fraction(49155, 32768)
     assert brute_force_tour(grants, dist) == Fraction(8193, 8192)
 
 
 def test_mean_distance_values():
     tree, scopes = chain_tree()
     dist = DistanceModel(tree)
-    assert mean_distance(grants_at(scopes[5], 4), dist) == Fraction(1, 2**11)
-    assert mean_distance(grants_at(scopes[9], 2), dist) == Fraction(1, 2**19)
-    assert mean_distance(["p", "q", "r"], _literal_dist(TRIANGLE)) == Fraction(1, 4)
-
-
-def test_mean_distance_undefined_below_two():
-    tree, scopes = chain_tree()
-    with pytest.raises(UndefinedMean):
-        mean_distance(grants_at(scopes[9], 1), DistanceModel(tree))
-
-
-def test_spread_ratio_conventions():
-    assert spread_ratio(0, Fraction(0), Fraction(0)) == 1
-    assert spread_ratio(1, Fraction(0), Fraction(0)) == 1
-    xi = Fraction(1, 2**15)
-    assert spread_ratio(5, 5 * xi, xi) == 1
+    assert assess_principal("spn", grants_at(scopes[5], 4), dist).mean_distance == Fraction(1, 2**11)
+    assert assess_principal("spn", grants_at(scopes[9], 2), dist).mean_distance == Fraction(1, 2**19)
+    assert assess_principal("spn", ["p", "q", "r"], _literal_dist(TRIANGLE)).mean_distance == Fraction(1, 4)
 
 
 def test_spread_ratio_two_cluster_exact_value():
@@ -227,9 +204,9 @@ def test_spread_ratio_two_cluster_exact_value():
     oracle = brute_force_tour(items, dist)
     nn = nn_tour(items, dist).length
     assert nn == oracle == Fraction(8193, 32768)
-    mean = mean_distance(items, dist)
-    assert mean == Fraction(24577, 327680)
-    ratio = spread_ratio(len(items), nn, mean)
+    risk = assess_principal("spn", items, dist)
+    assert risk.mean_distance == Fraction(24577, 327680)
+    ratio = risk.spread_ratio
     assert ratio == Fraction(13655, 24577)
     assert ratio < 1
 
@@ -237,10 +214,10 @@ def test_spread_ratio_two_cluster_exact_value():
 def test_is_ultracycle_cases():
     tree, scopes = chain_tree()
     dist = DistanceModel(tree)
-    assert is_ultracycle(grants_at(scopes[9], 4, WRITE), dist) == Fraction(2, 2**19)
-    assert is_ultracycle(grants_at(scopes[9], 1), dist) is None
+    assert assess_principal("spn", grants_at(scopes[9], 4, WRITE), dist).ultracycle == Fraction(2, 2**19)
+    assert assess_principal("spn", grants_at(scopes[9], 1), dist).ultracycle is None
     mixed_levels = grants_at(scopes[9], 2) + grants_at(scopes[4], 1)
-    assert is_ultracycle(mixed_levels, dist) is None
+    assert assess_principal("spn", mixed_levels, dist).ultracycle is None
 
 
 def test_assess_principal_consistency():
@@ -251,14 +228,10 @@ def test_assess_principal_consistency():
         dist = effective_distance(grants, tree)
         risk = assess_principal("spn", grants, dist)
         assert risk.n == len(grants)
-        assert risk.blast_radius == blast_radius(grants, dist)
-        assert risk.perimeter == perimeter(grants, dist)
-        if risk.n >= 2:
-            assert risk.mean_distance == mean_distance(grants, dist)
-        else:
-            assert risk.mean_distance == 0
-        assert risk.spread_ratio == spread_ratio(risk.n, risk.perimeter, risk.mean_distance)
-        assert risk.ultracycle == is_ultracycle(grants, dist)
+        oracle = fraction_assess("spn", grants, dist)
+        assert (risk.blast_radius, risk.perimeter, risk.mean_distance, risk.spread_ratio, risk.ultracycle) == (
+            oracle.blast_radius, oracle.perimeter, oracle.mean_distance, oracle.spread_ratio, oracle.ultracycle
+        )
 
 
 def test_blast_radius_monotone_under_added_grants():
@@ -267,8 +240,8 @@ def test_blast_radius_monotone_under_added_grants():
         tree = random_tree(rng)
         grants = random_grants(rng, tree, 7)
         dist = DistanceModel(tree)
-        radius = blast_radius(grants[:-1], dist)
-        assert blast_radius(grants, dist) >= radius
+        radius = assess_principal("spn", grants[:-1], dist).blast_radius
+        assert assess_principal("spn", grants, dist).blast_radius >= radius
 
 
 def test_perimeter_never_exceeds_n_times_mean():
@@ -277,5 +250,5 @@ def test_perimeter_never_exceeds_n_times_mean():
         tree = random_tree(rng)
         grants = sorted_grants(random_grants(rng, tree, rng.randint(2, 9)))
         dist = effective_distance(grants, tree)
-        ratio = spread_ratio(len(grants), perimeter(grants, dist), mean_distance(grants, dist))
+        ratio = assess_principal("spn", grants, dist).spread_ratio
         assert 0 < ratio <= 1

@@ -1,9 +1,15 @@
-"""The public surface: every name in perimetric.__all__ resolves through a star import; an unknown one does not."""
+"""The public surface: every name in perimetric.__all__ resolves through a star import; an unknown one does not.
 
+No public name shadows a module of the package, and the README's library example runs.
+"""
+
+import importlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -32,7 +38,6 @@ PUBLIC = [
     "assess_principal",
     "band_of",
     "band_report",
-    "blast_radius",
     "brute_force_tour",
     "build_tree",
     "check_ultrametricity",
@@ -41,18 +46,14 @@ PUBLIC = [
     "enumerate_bands",
     "generate_synthetic_tenant",
     "infimum_distance",
-    "is_ultracycle",
     "lca",
     "lca_level",
-    "mean_distance",
     "nn_tour",
     "pair_impact",
     "parse_snapshot",
-    "perimeter",
     "rank_spns",
     "resolve_effective_grants",
     "serialize_snapshot",
-    "spread_ratio",
 ]
 
 
@@ -76,3 +77,23 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError) as info:
         perimetric.nope
     assert str(info.value) == "module 'perimetric' has no attribute 'nope'"
+
+
+def test_every_module_is_the_package_attribute_of_its_name():
+    # a name the package imports under a module's name would hide that module from `perimetric.<name>`
+    names = sorted(path.stem for path in Path(perimetric.__file__).parent.glob("*.py") if path.stem != "__init__")
+    assert "perimeter" in names
+    for name in names:
+        importlib.import_module(f"perimetric.{name}")
+        assert getattr(perimetric, name) is sys.modules[f"perimetric.{name}"], name
+
+
+def test_the_readme_library_example_runs():
+    # so the README cannot cite a name the package no longer has; it prints one line per SPN
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, printed = {}, io.StringIO()
+    with redirect_stdout(printed):
+        exec(compile(example, "README.md", "exec"), namespace)
+    spns = sorted(line.split(" ", 1)[0] for line in printed.getvalue().splitlines())
+    assert spns == sorted(namespace["snapshot"].spns) != []
