@@ -1,10 +1,13 @@
+import hashlib
 import json
+import random
+import types
 from fractions import Fraction
 
 import pytest
 
 from helpers import nested_group_chains, parse_snapshot_oracle
-from perimetric import ingestion
+from perimetric import generator, ingestion
 from perimetric.errors import (
     DuplicateId,
     GroupCycle,
@@ -15,7 +18,7 @@ from perimetric.errors import (
     UnknownReference,
     UnsupportedSchemaVersion,
 )
-from perimetric.generator import GeneratorConfig, generate_synthetic_tenant
+from perimetric.generator import GeneratorConfig, below, generate_synthetic_tenant, sample
 from perimetric.ingestion import parse_snapshot, resolve_effective_grants, serialize_snapshot
 from perimetric.metric import AccessClass, DistanceModel, Grant, effective_distance
 from perimetric.perimeter import assess_principal
@@ -302,6 +305,103 @@ def test_generator_determinism():
         GeneratorConfig(seed=1, tight_spns=5, dispersed_spns=5, mixed_spns=5)
     ))
     assert different != first
+
+
+def test_generator_bytes_are_pinned_through_samples_set_branch():
+    # perfbench's tenant_scan snapshot at seed 0: 24 subscriptions, so a dispersed SPN's
+    # sample of 2 or 3 subscriptions takes random.sample's set branch (n > 21)
+    config = GeneratorConfig(
+        seed=0, tight_spns=600, dispersed_spns=600, mixed_spns=600, management_groups=6, subscriptions=24,
+        resource_groups_per_subscription=4, resources_per_resource_group=6, parts_per_resource=2,
+    )
+    text = serialize_snapshot(generate_synthetic_tenant(config))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "2cc81c55569f237e30f5702f259674c5fd3858ce3bcb8d3b0b68c3be9c977bbd"
+    )
+
+
+def test_generator_draws_only_getrandbits_and_random(monkeypatch):
+    # the bytes rest on these two methods alone; any other attribute of the generator's Random is missing here
+    class OnlyBits:
+        def __init__(self, seed):
+            rng = random.Random(seed)
+            self.getrandbits, self.random = rng.getrandbits, rng.random
+
+    config = GeneratorConfig(seed=9, subscriptions=23, tight_spns=8, dispersed_spns=8, mixed_spns=8)
+    expected = serialize_snapshot(generate_synthetic_tenant(config))
+    monkeypatch.setattr(generator, "random", types.SimpleNamespace(Random=OnlyBits))
+    assert serialize_snapshot(generate_synthetic_tenant(config)) == expected
+
+
+DRAW_SEEDS = (0, 1, 2, 7, 42, 1234, 2**31 - 1, 2**32, 2**40 + 3, 2**64 - 1, -5, -(2**63))
+
+
+def test_draw_rules_match_random_py():
+    # n up to 100 reaches both of sample's branches: the shrinking list while n <= 21
+    # (k <= 5) or n <= 85 (k = 6..9), the set of taken indices above that
+    for seed in DRAW_SEEDS:
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in range(1, 101):
+            pool = [f"m{i}" for i in range(n)]
+            assert pool[below(ours.getrandbits, n)] == theirs.choice(pool)
+            assert 3 + below(ours.getrandbits, n) == theirs.randint(3, n + 2)
+            for k in range(min(n, 9) + 1):
+                assert sample(ours.getrandbits, pool, k) == theirs.sample(pool, k), (seed, n, k)
+            assert ours.getstate() == theirs.getstate(), (seed, n)
+
+
+def test_below_one_still_draws_bits():
+    # randint(2, 2), a dispersed SPN's cluster count over exactly two subscriptions, draws one bit
+    ours, theirs = random.Random(3), random.Random(3)
+    before = ours.getstate()
+    assert 2 + below(ours.getrandbits, 1) == theirs.randint(2, 2) == 2
+    assert before != ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_an_empty_range_raises(n):
+    # getrandbits(0) is always 0, so a redraw loop on an empty range would never end
+    with pytest.raises(ValueError, match=rf"^cannot draw from range\({n}\)$"):
+        below(random.Random(0).getrandbits, n)
+    with pytest.raises(ValueError):
+        sample(random.Random(0).getrandbits, [], 1)
+
+
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            GeneratorConfig(seed=5, management_groups=0, subscriptions=3, tight_spns=4, dispersed_spns=4, mixed_spns=4),
+            "04a2ca47c1fb37c904c3bf415a41d0dc762b7a8f13102949b3c5ecf3e017ba83",
+        ),
+        (
+            GeneratorConfig(seed=5, subscriptions=1, resource_groups_per_subscription=0, mixed_spns=6),
+            "6d54611ce2351560f6678454ee5f6e382dc084fa4911b845ce6c4d3317694dbf",
+        ),
+        (
+            GeneratorConfig(seed=5, parts_per_resource=0, tight_spns=4, dispersed_spns=4, mixed_spns=4),
+            "3beeeadbfb1575439527c151af46eb32954b6ca6be0f50f9fe454e66e5893ebc",
+        ),
+        (
+            GeneratorConfig(seed=5, subscriptions=2, dispersed_spns=6),
+            "accbc7886b867f07f62b917e8c8af360ac60c160c08b188514077dd1a1d0ec01",
+        ),
+        (
+            GeneratorConfig(seed=5, resource_groups_per_subscription=1, resources_per_resource_group=1,
+                            tight_spns=4, dispersed_spns=4, mixed_spns=4),
+            "2c8a4e86cd64377638f5bf06455cb7cd465f407d7e4e9bd5af5339c841dc1c6f",
+        ),
+    ],
+    ids=["no-management-groups", "one-subscription-mixed-only", "no-parts", "two-subscriptions-dispersed",
+         "one-resource"],
+)
+def test_generator_boundary_configs(config, digest):
+    # each config draws from a pool of one somewhere, or from none of a kind
+    snapshot = generate_synthetic_tenant(config)
+    text = serialize_snapshot(snapshot)
+    assert parse_snapshot(text) == snapshot
+    assert serialize_snapshot(parse_snapshot(text)) == text
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 # seed 0 with 200 mixed SPNs on a one-resource tenant draws 624 rows, 615 of them distinct
