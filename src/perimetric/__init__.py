@@ -26,7 +26,6 @@ from perimetric.metric import (
     check_ultrametricity,
     distance,
     effective_distance,
-    infimum_distance,
     pair_impact,
 )
 from perimetric.perimeter import (
@@ -87,7 +86,6 @@ __all__ = [
     "effective_distance",
     "enumerate_bands",
     "generate_synthetic_tenant",
-    "infimum_distance",
     "lca",
     "lca_level",
     "nn_tour",

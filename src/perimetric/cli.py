@@ -8,9 +8,13 @@ finds violations, 2 for an errors.InputError, an unusable snapshot,
 option or command line (a bare `perimetric` prints its help on stderr and
 exits 2), 3 for any other exception: an invariant breach, or a failure
 such as a write to a full stdout. Commands raise and only `main` reports,
-in one `error: ...` line on stderr, never a traceback. All output is a
-deterministic function of (input bytes, flags, seed) and the Unicode
-tables _shown reads through str.isprintable.
+in one `error: ...` line on stderr, never a traceback: each line break in
+the message becomes one space and every other character is kept, and a
+path, or an id named on its own, is shown as its repr. The code and the
+line are the same with stdout closed. generate takes a seed from 0 to
+2**64 - 1.
+All output is a deterministic function of (input bytes, flags, seed) and
+the Unicode tables _shown reads through str.isprintable.
 
 A command runs with the cyclic garbage collector off. Its records are
 tuples, dicts and lists that form no reference cycle, so reference
@@ -63,12 +67,6 @@ def _shown(text: str) -> str:
     return text if text.isprintable() else repr(text)
 
 
-def _fail(message: str, code: int) -> NoReturn:
-    if sys.stderr is not None:  # None when descriptor 2 is closed
-        sys.stderr.write(f"error: {message}\n")
-    sys.exit(code)
-
-
 def _read(path: str) -> bytes:
     """The bytes of the file at `path`, or of standard input for `-`.
 
@@ -83,7 +81,7 @@ def _read(path: str) -> bytes:
         with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
-        raise errors.UsageError(f"argument SNAPSHOT: can't read '{path}': {exc.strerror}") from None
+        raise errors.UsageError(f"argument SNAPSHOT: can't read {path!r}: {exc.strerror}") from None
 
 
 def _assess_snapshot(snapshot: TenantSnapshot) -> list[PrincipalRisk]:
@@ -151,8 +149,11 @@ def _release_stdout() -> None:
 
     A failed write leaves its bytes in stdout's buffer, and the flush at
     interpreter exit would fail again, print a second error and exit 120.
-    A stdout with no descriptor (a StringIO, say) is left as it is.
+    A stdout with no descriptor (a StringIO, say) is left as it is, and a
+    closed one (None) is skipped.
     """
+    if sys.stdout is None:  # None when descriptor 1 is closed
+        return
     try:
         sys.stdout.flush()
     except (OSError, ValueError):
@@ -356,8 +357,8 @@ def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> Non
 
     Returns when the command succeeds; otherwise exits with its code. Commands
     raise, and any error from building the parser to flushing stdout is one
-    `error:` line here: an errors.InputError exits 2, any other exception 3,
-    a PerimetricError (a bug) with its message, another named as unexpected.
+    `error:` line here: an errors.InputError exits 2, any other exception 3;
+    a PerimetricError is told by its message, another named as unexpected.
     `standalone_mode` changes nothing; it is kept for perfbench's in-process
     runs, which pass it. The cyclic collector is off while the command runs
     and is turned back on afterwards only if it was on before. With `args`
@@ -381,12 +382,13 @@ def main(args: Sequence[str] | None = None, standalone_mode: bool = True) -> Non
         code = parsed.run(parsed)
         if sys.stdout is not None:  # None when descriptor 1 is closed; print then writes nothing
             sys.stdout.flush()  # a failed write to a buffered stdout shows here, not at exit
-    except errors.InputError as exc:
-        _fail(str(exc), 2)
     except Exception as exc:
-        _release_stdout()
+        code = 2 if isinstance(exc, errors.InputError) else 3
         message = str(exc) if isinstance(exc, errors.PerimetricError) else f"unexpected {type(exc).__name__}: {exc}"
-        _fail(" ".join(message.split()), 3)
+        _release_stdout()
+        if sys.stderr is not None:  # None when descriptor 2 is closed
+            sys.stderr.write(f"error: {' '.join(message.splitlines())}\n")
+        sys.exit(code)
     else:
         if code:
             sys.exit(code)

@@ -15,10 +15,7 @@ class InputError(PerimetricError):
 
 
 class UsageError(InputError):
-    """A command line or argument the CLI cannot use, so exit 2; its message is put on one line."""
-
-    def __init__(self, message):
-        super().__init__(" ".join(message.split()))
+    """A command line or argument the CLI cannot use, so exit 2."""
 
 
 # -- hierarchy ---------------------------------------------------------------

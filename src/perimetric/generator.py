@@ -52,7 +52,7 @@ _DRAWS = ((AccessClass.READ.value, READ_ACTIONS), (AccessClass.WRITE.value, WRIT
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Generator seed and counts; every field but the seed is a non-negative count.
+    """Generator seed, from 0 to 2**64 - 1, and counts; every other field is a non-negative count.
 
     A config whose tenant would have more than 1,000,000 nodes or SPNs raises InvalidConfig.
 
@@ -70,8 +70,9 @@ class GeneratorConfig:
     mixed_spns: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, int) or not -(2**63) <= self.seed < 2**64:
-            raise InvalidConfig("seed must be a 64-bit integer")
+        # random.Random seeds from abs(seed), so a negative seed would repeat a tenant
+        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+            raise InvalidConfig("seed must be an integer from 0 to 2**64 - 1")
         for name in (field.name for field in fields(self) if field.name != "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 0:

@@ -179,17 +179,14 @@ class DistanceModel(NamedTuple):
         return flat
 
 
-def distance(a: Grant, b: Grant, tree: TenantTree) -> Fraction:
-    """Exact dyadic distance between two grants under one hierarchy."""
-    return DistanceModel(tree)(a, b)
+def distance(a: Grant, b: Grant, hierarchy: TenantTree | HierarchyFamily) -> Fraction:
+    """Exact dyadic distance between two grants under a tree, or under a family.
 
-
-def infimum_distance(a: Grant, b: Grant, family: HierarchyFamily) -> Fraction:
-    """Pointwise minimum of the distance across the family, hence at the deepest LCA level.
-
-    Tighter than any single member, but no longer ultrametric in general.
+    Under a HierarchyFamily it is the pointwise minimum across the members, at the
+    deepest LCA level: tighter than any single member, but no longer ultrametric in
+    general.
     """
-    return DistanceModel(family)(a, b)
+    return DistanceModel(hierarchy)(a, b)
 
 
 def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, TenantTree]]) -> list[list[int]]:
@@ -197,7 +194,7 @@ def _scope_levels(scopes: Sequence[str], trees: Sequence[tuple[str | None, Tenan
 
     Levels rise strictly down every root path, so within one tree that is the
     level of the deepest common node, and across trees the deepest LCA level
-    infimum_distance takes. Each scope's root path is walked once per tree;
+    distance takes under a family. Each scope's root path is walked once per tree;
     the first scope missing from a tree raises UnknownNode naming that tree.
     A node is skipped when one child holds all its scopes (a chain of
     management groups, say), since that child's higher level wins anyway.

@@ -235,6 +235,7 @@ def test_stdout_write_failure_exits_3_without_traceback(command, unbuffered):
 
 
 CLOSED_STDIN = b"error: argument SNAPSHOT: can't read '-': standard input is closed\n"
+MISSING_PATH = b"error: argument SNAPSHOT: can't read 'no-such-snapshot.json': No such file or directory\n"
 
 
 @pytest.mark.parametrize(
@@ -243,13 +244,14 @@ CLOSED_STDIN = b"error: argument SNAPSHOT: can't read '-': standard input is clo
         (["scan", str(COUNTEREXAMPLE)], 1, 0, b""),
         (["check-family", str(COUNTEREXAMPLE)], 1, 1, b""),
         (["scan", "no-such-snapshot.json"], 2, 2, b""),
+        (["scan", "no-such-snapshot.json"], 1, 2, MISSING_PATH),
         (["scan", "-"], 0, 2, CLOSED_STDIN),
         (["bands", "-"], 0, 2, CLOSED_STDIN),
         (["check-family", "-"], 0, 2, CLOSED_STDIN),
         (["explain", "-", "svc-counterexample"], 0, 2, CLOSED_STDIN),
     ],
     ids=[
-        "scan-stdout", "check-family-stdout", "missing-path-stderr",
+        "scan-stdout", "check-family-stdout", "missing-path-stderr", "missing-path-stdout",
         "scan-stdin", "bands-stdin", "check-family-stdin", "explain-stdin",
     ],
 )
@@ -258,6 +260,40 @@ def test_a_closed_stream_keeps_the_exit_code(args, fd, code, stderr):
     result = _run_cli(args, capture_output=True, preexec_fn=lambda: os.close(fd))
     assert result.returncode == code
     assert (result.stdout, result.stderr) == (b"", stderr)
+
+
+def test_an_unexpected_error_with_stdout_closed_exits_3(monkeypatch):
+    # in process: print writes nothing to a None stdout, and the failure path must not flush it
+    def broken(*args):
+        raise RuntimeError("no ranking")
+
+    monkeypatch.setattr("perimetric.cli.rank_spns", broken)
+    monkeypatch.setattr(sys, "stdout", None)
+    with redirect_stderr(io.StringIO()) as stderr:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["scan", str(COUNTEREXAMPLE)])
+    assert (exit_info.value.code, stderr.getvalue()) == (3, "error: unexpected RuntimeError: no ranking\n")
+
+
+def test_an_unexpected_error_at_the_program_entry_with_stdout_closed_exits_3():
+    program = (
+        "import sys, perimetric.cli as cli\n"
+        "def broken(*args):\n    raise RuntimeError('no ranking')\n"
+        f"cli.rank_spns = broken\nsys.argv = ['perimetric', 'scan', {str(COUNTEREXAMPLE)!r}]\ncli.main()\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", program], env=_cli_env(), capture_output=True, timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stdout) == (3, b"")
+    assert result.stderr == b"error: unexpected RuntimeError: no ranking\n"
+
+
+def test_a_path_is_named_as_its_repr():
+    # the error line keeps both spaces and shows the ESC byte escaped, so a path cannot restyle the terminal
+    result = _run_cli(["scan", "my  \x1b[1mtenant.json"], capture_output=True)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == b"error: argument SNAPSHOT: can't read 'my  \\x1b[1mtenant.json': No such file or directory\n"
 
 
 class _FullStdout(io.StringIO):
@@ -637,6 +673,14 @@ def test_generate_rejects_invalid_config():
     result = invoke(["generate", "--subscriptions", "0"])
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr == "error: at least one subscription is required\n"
+
+
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_generate_refuses_a_seed_outside_its_range(seed):
+    # random.Random seeds from abs(seed), so a negative seed would print another seed's tenant
+    result = invoke(["generate", "--seed", seed])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: seed must be an integer from 0 to 2**64 - 1\n"
 
 
 def test_an_oversized_generate_exits_2_before_drawing():

@@ -8,8 +8,8 @@ tour kernels, on tables of values on the 2**-21 grid, against Fraction loops.
 check_ultrametricity's bitset scan is checked against the plain cubic
 loop, DistanceModel's integer matrix against the Fraction matrix of
 per-pair calls, the cells check-family prints from its matrix over the
-named grants against infimum_distance of each pair, raw_violates against a full triple scan of the raw
-distances, and infimum_distance against the minimum over the family.
+named grants against the family distance of each pair, raw_violates against a full triple scan of the raw
+distances, and the family distance against the minimum over the family.
 EffectiveDistance.geometry is checked against the merge list of the walk to
 the tree root it replaced, on the closure's whole set and on subsets of it,
 where assess_principal's closed form also meets the matrix path and the
@@ -41,7 +41,6 @@ from perimetric.metric import (
     check_ultrametricity,
     distance,
     effective_distance,
-    infimum_distance,
     raw_violates,
 )
 from perimetric.perimeter import (
@@ -324,7 +323,7 @@ def test_infimum_is_the_minimum_over_the_family(data):
     for a in grants:
         for b in grants:
             expected = min(distance(a, b, tree) for _, tree in family.members())
-            assert infimum_distance(a, b, family) == expected
+            assert distance(a, b, family) == expected
 
 
 @st.composite
@@ -356,7 +355,7 @@ _PRINTED_TRIPLE = re.compile(
 @given(st.data())
 def test_check_family_prints_the_infimum_distances_of_the_grants_it_names(data):
     # check-family prints each cell from a matrix over the named grants; the reference is one
-    # infimum_distance call per pair, and each grant has its own action, so a line names its grants
+    # distance call over the family per pair, and each grant has its own action, so a line names its grants
     native_nodes = data.draw(random_node_lists())
     family = data.draw(families(native_nodes))
     moves = [
@@ -386,7 +385,7 @@ def test_check_family_prints_the_infimum_distances_of_the_grants_it_names(data):
     for match in printed:
         i, j, d_ij, k, d_jk, d_ik, unit = match.groups()
         a, b, c = by_action[i], by_action[j], by_action[k]
-        inf_ij, inf_jk, inf_ik = (infimum_distance(x, y, family) for x, y in ((a, b), (b, c), (a, c)))
+        inf_ij, inf_jk, inf_ik = (distance(x, y, family) for x, y in ((a, b), (b, c), (a, c)))
         least = min(inf_ij, inf_jk, inf_ik)
         assert Fraction(unit) == least
         assert (Fraction(d_ij), Fraction(d_jk), Fraction(d_ik)) == (inf_ij / least, inf_jk / least, inf_ik / least)

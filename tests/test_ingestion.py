@@ -460,5 +460,8 @@ def test_generator_invalid_configs():
         GeneratorConfig(resource_groups_per_subscription=0, tight_spns=1)
     with pytest.raises(InvalidConfig):
         GeneratorConfig(seed="nope")
+    for seed in (-5, 2**64):
+        with pytest.raises(InvalidConfig, match=r"^seed must be an integer from 0 to 2\*\*64 - 1$"):
+            GeneratorConfig(seed=seed)
     with pytest.raises(InvalidConfig, match="^at least one subscription is required$"):
         GeneratorConfig(subscriptions=0)

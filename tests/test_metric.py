@@ -17,7 +17,6 @@ from perimetric.metric import (
     check_ultrametricity,
     distance,
     effective_distance,
-    infimum_distance,
     pair_impact,
     raw_violates,
 )
@@ -128,7 +127,7 @@ def test_infimum_singleton_family_equals_native():
     family = HierarchyFamily(native=tree)
     a = Grant("a", READ, scopes[9])
     b = Grant("b", WRITE, scopes[10])
-    assert infimum_distance(a, b, family) == distance(a, b, tree)
+    assert distance(a, b, family) == distance(a, b, tree)
 
 
 def test_infimum_takes_pointwise_minimum():
@@ -136,9 +135,9 @@ def test_infimum_takes_pointwise_minimum():
     x = Grant("x", READ, "res-x")
     y = Grant("y", WRITE, "res-y")
     z = Grant("z", READ, "res-z")
-    assert infimum_distance(x, y, family) == Fraction(1, 2**16)
-    assert infimum_distance(y, z, family) == Fraction(1, 2**16)
-    assert infimum_distance(x, z, family) == Fraction(1, 2**15)
+    assert distance(x, y, family) == Fraction(1, 2**16)
+    assert distance(y, z, family) == Fraction(1, 2**16)
+    assert distance(x, z, family) == Fraction(1, 2**15)
 
 
 def test_infimum_never_exceeds_any_member():
@@ -149,7 +148,7 @@ def test_infimum_never_exceeds_any_member():
         Grant("z", READ, "res-z"),
     ]
     for a, b in combinations(grants, 2):
-        inf = infimum_distance(a, b, family)
+        inf = distance(a, b, family)
         for _, tree in family.members():
             assert inf <= distance(a, b, tree)
 
@@ -158,7 +157,7 @@ def test_infimum_unknown_scope_names_hierarchy():
     tree, _ = chain_tree()
     family = HierarchyFamily(native=tree)
     with pytest.raises(UnknownNode, match="native"):
-        infimum_distance(Grant("a", READ, "ghost"), Grant("b", READ, "lvl00"), family)
+        distance(Grant("a", READ, "ghost"), Grant("b", READ, "lvl00"), family)
 
 
 def test_alternate_reparenting_can_lower_distance():
@@ -180,7 +179,7 @@ def test_alternate_reparenting_can_lower_distance():
     b = Grant("b", READ, "res-2")
     family = HierarchyFamily(native=native, alternates=(("merged", merged),))
     assert distance(a, b, native) == Fraction(1, 2**15)  # meet at the subscription
-    assert infimum_distance(a, b, family) == Fraction(1, 2**17)  # meet at the merged rg
+    assert distance(a, b, family) == Fraction(1, 2**17)  # meet at the merged rg
 
 
 def test_family_requires_same_node_set():

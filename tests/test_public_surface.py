@@ -45,7 +45,6 @@ PUBLIC = [
     "effective_distance",
     "enumerate_bands",
     "generate_synthetic_tenant",
-    "infimum_distance",
     "lca",
     "lca_level",
     "nn_tour",
